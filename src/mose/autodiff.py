@@ -3,8 +3,8 @@
 A small tape sufficient for the networks in this package: tensors wrap
 ndarrays, operations record their parents and a closure that maps the
 output gradient to parent gradients, and ``backward`` walks the graph in
-reverse topological order.  Only nodes downstream of a tracked leaf are
-visited, so constant subgraphs cost nothing extra.
+reverse topological order.  Only nodes downstream of a tracked leaf keep
+their graph, so constant subgraphs cost nothing extra.
 
 All operations preserve the dtype of their inputs; a float32 graph stays
 float32 end to end, which the trainer relies on for reproducibility.
@@ -20,6 +20,8 @@ class Tensor:
 
     ``value`` is always an ndarray.  ``track`` marks nodes whose gradient is
     wanted (leaves created with ``leaf``) or that sit downstream of one.
+    Untracked nodes keep neither parents nor gradient closure, so a forward
+    over constants frees each intermediate as soon as it is consumed.
     """
 
     __slots__ = ("value", "grad", "track", "_parents", "_grad_fn")
@@ -27,9 +29,9 @@ class Tensor:
     def __init__(self, value, parents=(), grad_fn=None, track=False):
         self.value = value if isinstance(value, np.ndarray) else np.asarray(value)
         self.grad = None
-        self._parents = parents
-        self._grad_fn = grad_fn
         self.track = track or any(p.track for p in parents)
+        self._parents = parents if self.track else ()
+        self._grad_fn = grad_fn if self.track else None
 
     @property
     def shape(self):

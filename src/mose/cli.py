@@ -13,6 +13,7 @@ self-check.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 from dataclasses import replace
@@ -20,14 +21,14 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .diffusion import default_fast_schedule, enhance, fast_sample
+from .diffusion import default_fast_schedule
 from .errors import (CheckFailure, CheckpointError, ConfigError, DataError,
                      DivergenceError, MoseError)
 from .metric import get_metric
 from .schedule import build_schedule, dump_table
 from .signals import load_corpus, synth_corpus, wav_read, wav_write, write_corpus
 from .trainer import (TrainConfig, checkpoint_load, config_hash,
-                      config_to_text, default_threads, evaluate,
+                      config_to_text, enhance_all, evaluate,
                       mismatch_experiment, parse_config_file, train,
                       write_comparison_csv, write_eval_csv,
                       write_mismatch_csv)
@@ -132,6 +133,14 @@ def _load_model(ckpt_dir: str):
     return st, dnet, sched
 
 
+def _name_rng(seed: int, name: str) -> np.random.Generator:
+    """A noise stream keyed by the signal's name, not its position."""
+    key = int.from_bytes(hashlib.sha256(name.encode("utf-8")).digest()[:8],
+                         "big")
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
+
+
 def cmd_enhance(args) -> int:
     st, dnet, sched = _load_model(args.ckpt)
     out = _prepare_out(args.out, args.force)
@@ -149,13 +158,14 @@ def cmd_enhance(args) -> int:
             entries.append((name, samples, rate))
     if not entries:
         raise DataError("nothing to enhance: pass WAV paths or --data")
-    rng = np.random.default_rng(args.seed)
-    for name, y, rate in entries:
-        y32 = y.astype(np.float32)
-        if fast is None:
-            xhat = enhance(dnet, st.params_d, y32, sched, rng=rng)
-        else:
-            xhat = fast_sample(dnet, st.params_d, y32, fast, sched, rng=rng)
+    names = [name for name, _, _ in entries]
+    if len(set(names)) != len(names):
+        raise DataError("two inputs share a name, so their outputs would "
+                        "overwrite each other")
+    rngs = [_name_rng(args.seed, name) for name in names]
+    enhanced = enhance_all(dnet, st.params_d, [y for _, y, _ in entries],
+                           rngs, sched, fast)
+    for (name, _, rate), xhat in zip(entries, enhanced):
         wav_write(os.path.join(out, f"{name}_enhanced.wav"), xhat, rate)
     _write_run_manifest(out, "enhance", st.config, {
         "checkpoint": args.ckpt, "seed": args.seed,
@@ -182,8 +192,7 @@ def cmd_eval(args) -> int:
             fast = default_fast_schedule(sched, args.fast_steps)
         rep = evaluate(dnet, st.params_d, split, metrics, sched,
                        sampler="fast" if fast is not None else "full",
-                       fast_betas=fast, seed=args.seed,
-                       threads=default_threads(args.threads))
+                       fast_betas=fast, seed=args.seed)
         label = os.path.basename(os.path.normpath(ckpt)) or ckpt
         if len(args.ckpt) > 1:
             # regression-only runs are the alpha = 0 system
@@ -300,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fast-schedule")
     p.add_argument("--fast-steps", type=int, default=0,
                    help="derive a default inference ladder of this length")
-    p.add_argument("--threads", type=int)
     p.add_argument("--force", action="store_true")
     p.set_defaults(fn=cmd_eval)
 

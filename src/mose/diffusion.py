@@ -135,18 +135,42 @@ def reverse_mean_batch(x_t: np.ndarray, y: np.ndarray, eps_hat: np.ndarray,
     return cx * x_t + cy * y - ce * eps_hat
 
 
+def _noise_source(y: np.ndarray, rng):
+    """A function drawing one standard-normal array shaped like ``y``.
+
+    A 1-D ``y`` draws from the single generator ``rng``; a (B, L) ``y``
+    needs a sequence of B generators and fills row b from ``rng[b]`` with
+    the same draw a 1-D walk of that row would make.
+    """
+    if y.ndim == 1:
+        return lambda: rng.standard_normal(y.shape).astype(y.dtype,
+                                                           copy=False)
+    if isinstance(rng, np.random.Generator) or len(rng) != y.shape[0]:
+        raise ValueError(f"a {y.shape} conditioner needs one generator per "
+                         f"row ({y.shape[0]})")
+
+    def draw():
+        z = np.empty(y.shape, dtype=y.dtype)
+        for row, g in zip(z, rng):
+            row[...] = g.standard_normal(y.shape[1])
+        return z
+    return draw
+
+
 def _reverse_chain(net, params, y: np.ndarray, chain: NoiseSchedule,
-                   step_inputs: np.ndarray, rng: np.random.Generator | None,
-                   noiseless: bool) -> np.ndarray:
+                   step_inputs: np.ndarray, rng, noiseless: bool) -> np.ndarray:
     """Walk a reverse chain from its terminal marginal down to step 0.
 
     ``step_inputs[s-1]`` is what the network sees as the step index for
-    chain step s; for the training chain these are just 1..T.
+    chain step s; for the training chain these are just 1..T.  A (B, L)
+    ``y`` walks B chains in one batch, row b drawing its noise from
+    ``rng[b]`` (see ``_noise_source``), so every row is bit-identical to
+    walking that row alone.
     """
     y = np.asarray(y)
     S = chain.T
     x = math.sqrt(float(chain.alpha_bar[S])) * y
-    draw = (lambda: rng.standard_normal(y.shape).astype(y.dtype, copy=False)) \
+    draw = _noise_source(y, rng) \
         if (rng is not None and not noiseless) else None
     if draw is not None:
         x = x + math.sqrt(float(chain.delta[S])) * draw()
@@ -161,9 +185,12 @@ def _reverse_chain(net, params, y: np.ndarray, chain: NoiseSchedule,
 
 
 def enhance(net, params, y: np.ndarray, sched: NoiseSchedule,
-            rng: np.random.Generator | None = None,
-            noiseless: bool = False) -> np.ndarray:
-    """Full-length reverse walk conditioned on the degraded signal."""
+            rng=None, noiseless: bool = False) -> np.ndarray:
+    """Full-length reverse walk conditioned on the degraded signal.
+
+    ``y`` is one (L,) signal with one generator, or a (B, L) batch with a
+    sequence of B generators, one per row.
+    """
     steps = np.arange(1, sched.T + 1, dtype=np.float64)
     return _reverse_chain(net, params, y, sched, steps, rng, noiseless)
 
@@ -202,9 +229,12 @@ def align_inference_steps(infer: NoiseSchedule,
 
 
 def fast_sample(net, params, y: np.ndarray, infer_betas,
-                sched: NoiseSchedule, rng: np.random.Generator | None = None,
+                sched: NoiseSchedule, rng=None,
                 noiseless: bool = False) -> np.ndarray:
-    """Reverse walk over a short inference schedule aligned to ``sched``."""
+    """Reverse walk over a short inference schedule aligned to ``sched``.
+
+    Takes ``y`` and ``rng`` as ``enhance`` does.
+    """
     infer_betas = np.asarray(infer_betas, dtype=np.float64)
     if infer_betas.size > sched.T:
         raise AlignmentError("inference schedule is longer than the "

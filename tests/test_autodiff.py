@@ -288,3 +288,23 @@ def test_leaf_shares_storage(rng):
     lf = ad.leaf(arr)
     arr[0] = 99.0
     assert lf.value[0] == 99.0
+
+
+def test_untracked_nodes_keep_no_graph(rng):
+    xv = rng.standard_normal((2, 3, 8))
+    wv = rng.standard_normal((4, 3, 3))
+    out = ad.conv1d(ad.const(xv), ad.const(wv), ad.const(np.zeros(4)))
+    assert out._parents == () and out._grad_fn is None
+
+    w = ad.leaf(wv.copy())
+    out = ad.conv1d(ad.const(xv), w, ad.const(np.zeros(4)))
+    assert len(out._parents) == 3 and out._grad_fn is not None
+    ad.backward(ad.mean_all(ad.square(out)))
+
+    def loss(flat):
+        o = ad.conv1d(ad.const(xv), ad.const(flat.reshape(wv.shape)),
+                      ad.const(np.zeros(4)))
+        return float(np.mean(np.square(o.value)))
+
+    assert np.allclose(w.grad.ravel(), fd_grad(loss, wv.ravel()),
+                       rtol=1e-6, atol=1e-8)

@@ -395,3 +395,28 @@ def test_real_network_chain_runs(sched50, rng):
     assert out.shape == (96,)
     assert out.dtype == np.float32
     assert np.all(np.isfinite(out))
+
+
+def test_batched_walk_rows_equal_walks_alone(sched50, rng):
+    net = DiffusionNet(channels=6, blocks=2, kernel=3, emb_dim=6,
+                       max_time=200.0)
+    params = net.init_params(np.random.default_rng(0), zero_head=False)
+    ys = rng.standard_normal((3, 96)).astype(np.float32)
+    betas = default_fast_schedule(sched50, 6)
+
+    def gens():
+        return [np.random.default_rng(20 + b) for b in range(3)]
+
+    full = enhance(net, params, ys, sched50, rng=gens())
+    fast = fast_sample(net, params, ys, betas, sched50, rng=gens())
+    assert full.shape == fast.shape == ys.shape
+    for b, g in enumerate(gens()):
+        assert np.array_equal(full[b], enhance(net, params, ys[b], sched50,
+                                               rng=g))
+    for b, g in enumerate(gens()):
+        assert np.array_equal(fast[b], fast_sample(net, params, ys[b], betas,
+                                                   sched50, rng=g))
+    with pytest.raises(ValueError, match="one generator per row"):
+        enhance(net, params, ys, sched50, rng=gens()[:2])
+    with pytest.raises(ValueError, match="one generator per row"):
+        enhance(net, params, ys, sched50, rng=np.random.default_rng(0))

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import mose.trainer as trainer
 from mose import (
     CheckpointError,
     ConfigError,
@@ -14,10 +15,14 @@ from mose import (
     DivergenceError,
     TrainConfig,
     build_schedule,
+    default_fast_schedule,
+    enhance,
+    fast_sample,
     get_metric,
     synth_corpus,
 )
 from mose.trainer import (
+    EvalRow,
     TelemetryRow,
     alpha_sweep,
     build_nets,
@@ -25,7 +30,6 @@ from mose.trainer import (
     config_from_mapping,
     config_hash,
     config_to_text,
-    default_threads,
     evaluate,
     mismatch_experiment,
     parse_config_file,
@@ -309,16 +313,35 @@ def test_checkpoint_corruption_detected(tmp_path, corpus):
 # ---------------------------------------------------------------------------
 # evaluation
 
-def test_evaluate_thread_count_does_not_change_scores(corpus):
-    sched = build_schedule(10, 0.02, 0.2)
+def test_evaluate_scores_do_not_depend_on_batch_composition():
+    # two lengths, each with more utterances than one walk block, interleaved
+    sched = build_schedule(6, 0.05, 0.3)
+    pairs = []
+    for length in (1024, 1500):
+        rows = max(1, trainer._WALK_BLOCK_SAMPLES // length)
+        pairs += synth_corpus(seed=length, n_utterances=rows + 2,
+                              length=length, snr_levels=[0.0, 10.0],
+                              split=str(length))
+    pairs = pairs[::2] + pairs[1::2]
     dnet, _ = build_nets(MICRO)
     params = dnet.init_params(np.random.default_rng(0), zero_head=False)
     metrics = [get_metric("si_snr"), get_metric("seg_snr")]
-    one = evaluate(dnet, params, corpus, metrics, sched, seed=5, threads=1)
-    many = evaluate(dnet, params, corpus, metrics, sched, seed=5, threads=3)
-    assert [r.id for r in one.rows] == [r.id for r in many.rows]
-    for ra, rb in zip(one.rows, many.rows):
-        assert ra.enhanced == rb.enhanced and ra.noisy == rb.noisy
+    betas = default_fast_schedule(sched, 4)
+    for sampler in ("full", "fast"):
+        rep = evaluate(dnet, params, pairs, metrics, sched, sampler=sampler,
+                       fast_betas=betas, seed=5)
+        want = []
+        for k, pair in enumerate(pairs):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=5, spawn_key=(k,)))
+            y32 = pair.y.astype(np.float32)
+            xhat = enhance(dnet, params, y32, sched, rng=rng) \
+                if sampler == "full" else \
+                fast_sample(dnet, params, y32, betas, sched, rng=rng)
+            want += [EvalRow(pair.id, pair.snr_db, pair.split, m.name,
+                             m.evaluate(pair.y, pair.x0),
+                             m.evaluate(xhat, pair.x0)) for m in metrics]
+        assert rep.rows == want
 
 
 def test_evaluate_validation(corpus):
@@ -341,8 +364,7 @@ def test_unprocessed_scores_reproduce_snr_labels():
     sched = build_schedule(6, 0.05, 0.3)
     dnet, _ = build_nets(MICRO)
     params = dnet.init_params(np.random.default_rng(0))
-    rep = evaluate(dnet, params, pairs, [get_metric("seg_snr")], sched,
-                   threads=1)
+    rep = evaluate(dnet, params, pairs, [get_metric("seg_snr")], sched)
     by_label = {}
     for row in rep.rows:
         by_label.setdefault(row.snr_db, []).append(row.noisy)
@@ -355,8 +377,7 @@ def test_eval_csv_shape(tmp_path, corpus):
     sched = build_schedule(6, 0.05, 0.3)
     dnet, _ = build_nets(MICRO)
     params = dnet.init_params(np.random.default_rng(0))
-    rep = evaluate(dnet, params, corpus, [get_metric("si_snr")], sched,
-                   threads=1)
+    rep = evaluate(dnet, params, corpus, [get_metric("si_snr")], sched)
     path = tmp_path / "eval.csv"
     write_eval_csv(path, rep)
     with open(path) as fh:
@@ -370,18 +391,6 @@ def test_eval_csv_shape(tmp_path, corpus):
     with open(cmp_path) as fh:
         crows = list(csv.reader(fh))
     assert [r[0] for r in crows] == ["system", "unprocessed", "full", "again"]
-
-
-def test_default_threads(monkeypatch):
-    assert default_threads(5) == 5
-    assert default_threads(0) == 1
-    monkeypatch.setenv("MOSE_THREADS", "7")
-    assert default_threads() == 7
-    monkeypatch.setenv("MOSE_THREADS", "zero")
-    with pytest.raises(ConfigError, match="MOSE_THREADS"):
-        default_threads()
-    monkeypatch.delenv("MOSE_THREADS")
-    assert default_threads() >= 1
 
 
 def test_resolve_metric_paths():
@@ -400,7 +409,7 @@ def test_alpha_sweep_shape_and_csv(tmp_path, corpus):
     from dataclasses import replace
     base = replace(MICRO, n_total=8, n_th=4)
     sweep = alpha_sweep(base, corpus, corpus, alphas=(0.0, 0.5),
-                        seeds=(0, 1), threads=1)
+                        seeds=(0, 1))
     assert len(sweep.long_rows) == 4
     assert set(sweep.by_alpha) == {0.0, 0.5}
     for a in (0.0, 0.5):
