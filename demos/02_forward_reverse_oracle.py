@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from mose import SignalPair, build_schedule, enhance, forward_sample
+from mose import SignalPair, build_schedule, enhance, forward_sample_batch
 from mose.metric import get_metric
 
 
@@ -46,7 +46,8 @@ print("input SI-SNR of y vs clean: %+.2f dB" % si.evaluate(pair.y, pair.x0))
 print()
 print("forward corruption (one draw per level):")
 for t in (1, 10, 25, 50):
-    x_t = forward_sample(pair, t, rng.standard_normal(n), sched).x
+    x_t = forward_sample_batch(pair.x0[None], pair.y[None], np.array([t]),
+                               rng.standard_normal((1, n)), sched)[0]
     print(f"  t={t:>2}  SI-SNR(x_t, x0) = {si.evaluate(x_t, pair.x0):+7.2f} dB")
 
 net = OracleNet(pair.x0, sched)

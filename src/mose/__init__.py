@@ -7,33 +7,38 @@ enhancer at an arbitrary quality metric through a learned scorer.
 Pure numpy; the tape in :mod:`mose.autodiff` supplies the gradients.
 """
 
-from .diffusion import (ReverseCoefficients, align_inference_steps,
-                        default_fast_schedule, elbo_loss, enhance,
-                        fast_sample, forward_sample, forward_sample_batch,
-                        reverse_coefficients, reverse_mean_batch,
-                        reverse_step, target_noise, target_noise_batch)
-from .errors import (AlignmentError, CheckFailure, CheckpointError,
-                     ConfigError, DataError, DivergenceError, MetricError,
-                     MoseError, ScheduleError)
+from .diffusion import (align_inference_steps, default_fast_schedule,
+                        enhance, fast_sample, forward_sample_batch,
+                        reverse_mean_batch, target_noise_batch)
+from .errors import (AlignmentError, CheckpointError, ConfigError, DataError,
+                     DivergenceError, MetricError, ScheduleError)
 from .metric import (MetricSpec, external_metric, get_metric, neg_mse,
                      register_metric, seg_snr, si_snr)
 from .nets import (AdamState, DiffusionNet, ParamSet, StepEmbedding,
                    ValueNet, adam_step, load_param_file, save_param_file)
-from .rl import Transition, actor_loss, bellman_loss, critic_target, reward
-from .schedule import (NoiseSchedule, StepConstants, build_schedule,
-                       dump_table, interpolation_weight, schedule_from_betas)
-from .signals import (LatentState, SignalPair, load_corpus, mix_at_snr,
-                      synth_corpus, wav_read, wav_write, write_corpus)
-from .trainer import (CheckpointState, EvalReport, EvalRow, MismatchResult,
-                      MismatchRow, SweepResult, TelemetryRow, TrainConfig,
-                      TrainResult, alpha_sweep, checkpoint_load,
-                      checkpoint_save, config_from_mapping, config_hash,
-                      config_to_text, evaluate, mismatch_experiment,
-                      parse_config_file, read_telemetry_csv, train,
-                      write_comparison_csv, write_eval_csv,
-                      write_mismatch_csv, write_sweep_csv,
-                      write_telemetry_csv)
+from .rl import actor_loss, bellman_loss, critic_target, reward
+from .schedule import (NoiseSchedule, build_schedule, dump_table,
+                       interpolation_weight, schedule_from_betas)
+from .signals import (SignalPair, load_corpus, mix_at_snr, synth_corpus,
+                      wav_read, wav_write, write_corpus)
+from .trainer import (TrainConfig, alpha_sweep, mismatch_experiment,
+                      parse_config_file, train, write_sweep_csv)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# what the command line, the demos, the tests and the benchmark import
+__all__ = [
+    "AdamState", "AlignmentError", "CheckpointError", "ConfigError",
+    "DataError", "DiffusionNet", "DivergenceError", "MetricError",
+    "MetricSpec", "NoiseSchedule", "ParamSet", "ScheduleError", "SignalPair",
+    "StepEmbedding", "TrainConfig", "ValueNet", "__version__", "actor_loss",
+    "adam_step", "align_inference_steps", "alpha_sweep", "bellman_loss",
+    "build_schedule", "critic_target", "default_fast_schedule", "dump_table",
+    "enhance", "external_metric", "fast_sample", "forward_sample_batch",
+    "get_metric", "interpolation_weight", "load_corpus", "load_param_file",
+    "mismatch_experiment", "mix_at_snr", "neg_mse", "parse_config_file",
+    "register_metric", "reverse_mean_batch", "reward", "save_param_file",
+    "schedule_from_betas", "seg_snr", "si_snr", "synth_corpus",
+    "target_noise_batch", "train", "wav_read", "wav_write", "write_corpus",
+    "write_sweep_csv",
+]

@@ -3,7 +3,8 @@
 Subcommands: synth, train, enhance, eval, mismatch, selfcheck.  Every
 command that writes results refuses to touch a non-empty output directory
 unless --force is given, and drops a run manifest (config snapshot, seed,
-package version) next to its outputs so any run can be replayed.
+package version, machine and BLAS build) next to its outputs so any run can
+be replayed.
 
 Exit codes: 0 success, 1 unexpected error, 2 bad configuration or
 arguments, 3 missing or malformed data, 4 training divergence, 5 failed
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import platform
 import sys
 from dataclasses import replace
 
@@ -45,11 +47,30 @@ def _prepare_out(out_dir: str, force: bool) -> str:
     return out_dir
 
 
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _machine_lines() -> list[str]:
+    """Cores, python, numpy, its BLAS build and the BLAS thread settings."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
+        blas = {}
+    lines = [f"nproc = {os.cpu_count()}",
+             f"python = {platform.python_version()}",
+             f"numpy = {np.__version__}"]
+    lines += [f"blas_{k.replace(' ', '_')} = {blas.get(k)}"
+              for k in ("name", "version", "openblas configuration")]
+    lines += [f"{k} = {os.environ.get(k)}" for k in _THREAD_VARS]
+    return lines
+
+
 def _write_run_manifest(out_dir: str, cmd: str, cfg: TrainConfig | None,
                         extra: dict | None = None) -> None:
     lines = [f"command = {cmd}", f"package_version = {__version__}"]
     for k, v in (extra or {}).items():
         lines.append(f"{k} = {v}")
+    lines += _machine_lines()
     if cfg is not None:
         lines.append(f"config_hash = {config_hash(cfg)}")
         lines.append("")

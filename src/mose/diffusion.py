@@ -27,27 +27,18 @@ import numpy as np
 
 from .errors import AlignmentError, ScheduleError
 from .schedule import NoiseSchedule, schedule_from_betas
-from .signals import LatentState, SignalPair
 
 
-def forward_sample(pair: SignalPair, t: int, eps: np.ndarray,
-                   sched: NoiseSchedule) -> LatentState:
-    """Draw x_t from the forward marginal using the provided noise."""
-    if not 1 <= t <= sched.T:
-        raise ScheduleError(f"t = {t} outside 1..{sched.T}")
-    eps = np.asarray(eps)
-    if eps.shape != pair.x0.shape:
-        raise ValueError("noise shape must match the signal shape")
-    w = float(sched.w[t])
-    sa = math.sqrt(float(sched.alpha_bar[t]))
-    sd = math.sqrt(float(sched.delta[t]))
-    x_t = (1.0 - w) * sa * pair.x0 + w * sa * pair.y + sd * eps
-    return LatentState(x_t, t)
+def _check_steps(t, sched: NoiseSchedule) -> None:
+    t = np.asarray(t)
+    if t.min(initial=1) < 1 or t.max(initial=sched.T) > sched.T:
+        raise ScheduleError(f"a step outside 1..{sched.T}: {t}")
 
 
 def forward_sample_batch(x0: np.ndarray, y: np.ndarray, t: np.ndarray,
                          eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
-    """Vectorized forward draw for (B, L) signals and per-row steps."""
+    """Forward draw of x_t for (B, L) signals and per-row steps ``t``."""
+    _check_steps(t, sched)
     dt = x0.dtype
     w = sched.w[t]
     sa = np.sqrt(sched.alpha_bar[t])
@@ -58,20 +49,9 @@ def forward_sample_batch(x0: np.ndarray, y: np.ndarray, t: np.ndarray,
     return c0 * x0 + cy * y + ce * eps
 
 
-def target_noise(pair: SignalPair, eps: np.ndarray, t: int,
-                 sched: NoiseSchedule) -> np.ndarray:
-    """The combined-noise regression target C_t."""
-    if not 1 <= t <= sched.T:
-        raise ScheduleError(f"t = {t} outside 1..{sched.T}")
-    ab = float(sched.alpha_bar[t])
-    s1 = math.sqrt(1.0 - ab)
-    c_mix = float(sched.w[t]) * math.sqrt(ab) / s1
-    c_eps = math.sqrt(float(sched.delta[t])) / s1
-    return c_mix * (pair.y - pair.x0) + c_eps * np.asarray(eps)
-
-
 def target_noise_batch(x0: np.ndarray, y: np.ndarray, t: np.ndarray,
                        eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
+    """The combined-noise regression target C_t of each row."""
     dt = x0.dtype
     ab = sched.alpha_bar[t]
     s1 = np.sqrt(1.0 - ab)
@@ -80,81 +60,26 @@ def target_noise_batch(x0: np.ndarray, y: np.ndarray, t: np.ndarray,
     return c_mix * (y - x0) + c_eps * eps
 
 
-def elbo_loss(eps_hat: np.ndarray, target: np.ndarray) -> float:
-    """Mean absolute error against the combined-noise target."""
-    eps_hat = np.asarray(eps_hat)
-    target = np.asarray(target)
-    if eps_hat.shape != target.shape:
-        raise ValueError("prediction and target shapes differ")
-    return float(np.mean(np.abs(eps_hat - target)))
-
-
-class ReverseCoefficients:
-    """Reverse-mean weights of one step: x, y, and predicted-noise terms."""
-
-    __slots__ = ("c_xt", "c_yt", "c_eps")
-
-    def __init__(self, c_xt: float, c_yt: float, c_eps: float):
-        self.c_xt = c_xt
-        self.c_yt = c_yt
-        self.c_eps = c_eps
-
-    def __repr__(self):
-        return (f"ReverseCoefficients(c_xt={self.c_xt!r}, c_yt={self.c_yt!r}, "
-                f"c_eps={self.c_eps!r})")
-
-
-def reverse_coefficients(t: int, sched: NoiseSchedule) -> ReverseCoefficients:
-    if not 1 <= t <= sched.T:
-        raise ScheduleError(f"t = {t} outside 1..{sched.T}")
-    return ReverseCoefficients(float(sched.coef_x[t]), float(sched.coef_y[t]),
-                               float(sched.coef_eps[t]))
-
-
-def reverse_step(state: LatentState, y: np.ndarray, eps_hat: np.ndarray,
-                 z: np.ndarray | None, sched: NoiseSchedule) -> LatentState:
-    """One reverse transition x_t -> x_{t-1}; noise is forced off at t = 1."""
-    t = int(state.t)
-    if state.t != t or not 1 <= t <= sched.T:
-        raise ScheduleError(f"reverse_step needs integer t in 1..{sched.T}, "
-                            f"got {state.t!r}")
-    c = reverse_coefficients(t, sched)
-    x = c.c_xt * state.x + c.c_yt * np.asarray(y) - c.c_eps * np.asarray(eps_hat)
-    if t > 1 and z is not None:
-        x = x + math.sqrt(float(sched.delta_tilde[t])) * np.asarray(z)
-    return LatentState(x, t - 1)
-
-
 def reverse_mean_batch(x_t: np.ndarray, y: np.ndarray, eps_hat: np.ndarray,
                        t: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
-    """Posterior means for (B, L) latents with per-row integer steps."""
-    dt = x_t.dtype
-    cx = sched.coef_x[t].astype(dt)[:, None]
-    cy = sched.coef_y[t].astype(dt)[:, None]
-    ce = sched.coef_eps[t].astype(dt)[:, None]
+    """Posterior means for (B, L) latents with per-row integer steps.
+
+    Each coefficient takes the dtype of the term it scales, as a python
+    float would, so float32 terms stay float32.
+    """
+    _check_steps(t, sched)
+    cx = sched.coef_x[t].astype(x_t.dtype)[:, None]
+    cy = sched.coef_y[t].astype(y.dtype)[:, None]
+    ce = sched.coef_eps[t].astype(eps_hat.dtype)[:, None]
     return cx * x_t + cy * y - ce * eps_hat
 
 
-def _noise_source(y: np.ndarray, rng):
-    """A function drawing one standard-normal array shaped like ``y``.
-
-    A 1-D ``y`` draws from the single generator ``rng``; a (B, L) ``y``
-    needs a sequence of B generators and fills row b from ``rng[b]`` with
-    the same draw a 1-D walk of that row would make.
-    """
-    if y.ndim == 1:
-        return lambda: rng.standard_normal(y.shape).astype(y.dtype,
-                                                           copy=False)
-    if isinstance(rng, np.random.Generator) or len(rng) != y.shape[0]:
-        raise ValueError(f"a {y.shape} conditioner needs one generator per "
-                         f"row ({y.shape[0]})")
-
-    def draw():
-        z = np.empty(y.shape, dtype=y.dtype)
-        for row, g in zip(z, rng):
-            row[...] = g.standard_normal(y.shape[1])
-        return z
-    return draw
+def _standard_normal(like: np.ndarray, gens) -> np.ndarray:
+    """Standard normals shaped like (B, L) ``like``, row b from ``gens[b]``."""
+    z = np.empty(like.shape, dtype=like.dtype)
+    for row, g in zip(z, gens):
+        row[...] = g.standard_normal(like.shape[1])
+    return z
 
 
 def _reverse_chain(net, params, y: np.ndarray, chain: NoiseSchedule,
@@ -163,25 +88,29 @@ def _reverse_chain(net, params, y: np.ndarray, chain: NoiseSchedule,
 
     ``step_inputs[s-1]`` is what the network sees as the step index for
     chain step s; for the training chain these are just 1..T.  A (B, L)
-    ``y`` walks B chains in one batch, row b drawing its noise from
-    ``rng[b]`` (see ``_noise_source``), so every row is bit-identical to
-    walking that row alone.
+    ``y`` walks B chains in one batch and needs a sequence of B generators,
+    row b drawing its noise from ``rng[b]``, so every row is bit-identical
+    to walking that row alone; an (L,) ``y`` walks as one row.
     """
     y = np.asarray(y)
+    rows = y[None, :] if y.ndim == 1 else y
+    gens = None
+    if rng is not None and not noiseless:
+        gens = [rng] if y.ndim == 1 else rng
+        if isinstance(gens, np.random.Generator) or len(gens) != len(rows):
+            raise ValueError(f"a {y.shape} conditioner needs one generator "
+                             f"per row ({len(rows)})")
     S = chain.T
-    x = math.sqrt(float(chain.alpha_bar[S])) * y
-    draw = _noise_source(y, rng) \
-        if (rng is not None and not noiseless) else None
-    if draw is not None:
-        x = x + math.sqrt(float(chain.delta[S])) * draw()
+    x = math.sqrt(float(chain.alpha_bar[S])) * rows
+    if gens is not None:
+        x = x + math.sqrt(float(chain.delta[S])) * _standard_normal(rows, gens)
     for s in range(S, 0, -1):
-        eps_hat = net.forward(params, x, y, float(step_inputs[s - 1])).value
-        # python-float coefficients keep float32 chains in float32
-        x = float(chain.coef_x[s]) * x + float(chain.coef_y[s]) * y \
-            - float(chain.coef_eps[s]) * eps_hat
-        if s > 1 and draw is not None:
-            x = x + math.sqrt(float(chain.delta_tilde[s])) * draw()
-    return x
+        eps_hat = net.forward(params, x, rows, float(step_inputs[s - 1])).value
+        x = reverse_mean_batch(x, rows, eps_hat, np.full(len(rows), s), chain)
+        if s > 1 and gens is not None:
+            x = x + math.sqrt(float(chain.delta_tilde[s])) \
+                * _standard_normal(rows, gens)
+    return x[0] if y.ndim == 1 else x
 
 
 def enhance(net, params, y: np.ndarray, sched: NoiseSchedule,

@@ -102,8 +102,50 @@ def _init_flat(manifest, rng: np.random.Generator, dtype,
     return np.concatenate(chunks).astype(dtype)
 
 
-class DiffusionNet:
+class _TapeNet:
+    """What both networks share: parameter nodes and gradient folding.
+
+    Subclasses set ``manifest``, their (name, shape) pairs, and ``head``,
+    the parameter names that start at zero under ``zero_head``.
+    """
+
+    _leaves = None
+
+    def init_params(self, rng: np.random.Generator,
+                    dtype=np.float32, zero_head: bool = True) -> ParamSet:
+        zero = self.head if zero_head else frozenset()
+        return ParamSet(self.manifest, _init_flat(self.manifest, rng,
+                                                  dtype, zero))
+
+    def _param_nodes(self, params: ParamSet, tracked: bool) -> dict:
+        """Tape nodes for the parameters; tracked ones are kept as leaves."""
+        mk = ad.leaf if tracked else ad.const
+        p = {name: mk(params.view(name)) for name, _ in self.manifest}
+        if tracked:
+            self._leaves = p
+        return p
+
+    def accumulate_grads(self, params: ParamSet) -> None:
+        """Fold the gradients of the last tracked forward into ``params``."""
+        if self._leaves is None:
+            raise RuntimeError("no tracked forward pass recorded")
+        for name, _ in self.manifest:
+            g = self._leaves[name].grad
+            if g is not None:
+                params.grad_view(name)[...] += g
+        self._leaves = None
+
+    @staticmethod
+    def _rows(a, single: bool) -> ad.Tensor:
+        """A constant (B, L) input; an (L,) one when ``single`` gains a row."""
+        a = np.asarray(a)
+        return ad.const(a[None, :] if single else a)
+
+
+class DiffusionNet(_TapeNet):
     """Context-windowed noise predictor over (latent, conditioner) pairs."""
+
+    head = frozenset({"out_proj.w", "out_proj.b"})
 
     def __init__(self, channels: int = 16, blocks: int = 4, kernel: int = 3,
                  dilations=None, emb_dim: int = 16, max_time: float = 200.0):
@@ -126,33 +168,16 @@ class DiffusionNet:
                   (f"block{i}.mix.b", (channels,))]
         m += [("out_proj.w", (1, channels, 1)), ("out_proj.b", (1,))]
         self.manifest = m
-        self._leaves = None
-
-    def init_params(self, rng: np.random.Generator,
-                    dtype=np.float32, zero_head: bool = True) -> ParamSet:
-        zero = frozenset({"out_proj.w", "out_proj.b"}) if zero_head \
-            else frozenset()
-        return ParamSet(self.manifest, _init_flat(self.manifest, rng,
-                                                  dtype, zero))
 
     def forward(self, params: ParamSet, x_t, y, t,
                 params_tracked: bool = False) -> ad.Tensor:
         """Predict the combined noise; accepts (L,) or (B, L) inputs."""
         x_arr = x_t.value if isinstance(x_t, ad.Tensor) else np.asarray(x_t)
         single = x_arr.ndim == 1
-        mk = ad.leaf if params_tracked else ad.const
-        p = {name: mk(params.view(name)) for name, _ in self.manifest}
-        if params_tracked:
-            self._leaves = p
+        p = self._param_nodes(params, params_tracked)
 
-        def wrap(a):
-            a = np.asarray(a)
-            if single:
-                a = a[None, :]
-            return ad.const(a)
-
-        xt = x_t if isinstance(x_t, ad.Tensor) else wrap(x_t)
-        yt = wrap(y)
+        xt = x_t if isinstance(x_t, ad.Tensor) else self._rows(x_t, single)
+        yt = self._rows(y, single)
         emb = self.embedding(t).astype(params.dtype)
         if single and emb.shape[0] != 1:
             raise ValueError("scalar t expected for single-vector input")
@@ -173,19 +198,11 @@ class DiffusionNet:
         out = ad.squeeze_channel(out)
         return ad.index_first(out) if single else out
 
-    def accumulate_grads(self, params: ParamSet) -> None:
-        """Fold the gradients of the last tracked forward into ``params``."""
-        if self._leaves is None:
-            raise RuntimeError("no tracked forward pass recorded")
-        for name, _ in self.manifest:
-            g = self._leaves[name].grad
-            if g is not None:
-                params.grad_view(name)[...] += g
-        self._leaves = None
 
-
-class ValueNet:
+class ValueNet(_TapeNet):
     """Scores an action in context: (latent, action, clean) -> scalar."""
+
+    head = frozenset({"fc3.w", "fc3.b"})
 
     def __init__(self, channels: int = 16, kernel: int = 5,
                  strides=(4, 4, 4), mlp_width: int = 32,
@@ -212,13 +229,6 @@ class ValueNet:
               ("fc2.w", (mlp_width, mlp_width)), ("fc2.b", (mlp_width,)),
               ("fc3.w", (mlp_width, 1)), ("fc3.b", (1,))]
         self.manifest = m
-        self._leaves = None
-
-    def init_params(self, rng: np.random.Generator,
-                    dtype=np.float32, zero_head: bool = True) -> ParamSet:
-        zero = frozenset({"fc3.w", "fc3.b"}) if zero_head else frozenset()
-        return ParamSet(self.manifest, _init_flat(self.manifest, rng,
-                                                  dtype, zero))
 
     def forward(self, params: ParamSet, x_t, action, x0, t=None,
                 params_tracked: bool = False) -> ad.Tensor:
@@ -226,22 +236,14 @@ class ValueNet:
         a_arr = action.value if isinstance(action, ad.Tensor) \
             else np.asarray(action)
         single = a_arr.ndim == 1
-        mk = ad.leaf if params_tracked else ad.const
-        p = {name: mk(params.view(name)) for name, _ in self.manifest}
-        if params_tracked:
-            self._leaves = p
-
-        def wrap(a):
-            a = np.asarray(a)
-            if single:
-                a = a[None, :]
-            return ad.const(a)
+        p = self._param_nodes(params, params_tracked)
 
         if isinstance(action, ad.Tensor):
             at = ad.unbatch(action) if single else action
         else:
-            at = wrap(action)
-        h = ad.stack_channels(wrap(x_t), at, wrap(x0))
+            at = self._rows(action, single)
+        h = ad.stack_channels(self._rows(x_t, single), at,
+                               self._rows(x0, single))
         for i, s in enumerate(self.strides):
             h = ad.relu(ad.conv1d(h, p[f"enc{i}.w"], p[f"enc{i}.b"],
                                   stride=s))
@@ -257,15 +259,6 @@ class ValueNet:
         h = ad.relu(ad.linear(h, p["fc2.w"], p["fc2.b"]))
         out = ad.squeeze_last(ad.linear(h, p["fc3.w"], p["fc3.b"]))
         return ad.index_first(out) if single else out
-
-    def accumulate_grads(self, params: ParamSet) -> None:
-        if self._leaves is None:
-            raise RuntimeError("no tracked forward pass recorded")
-        for name, _ in self.manifest:
-            g = self._leaves[name].grad
-            if g is not None:
-                params.grad_view(name)[...] += g
-        self._leaves = None
 
 
 @dataclass

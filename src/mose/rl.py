@@ -7,6 +7,10 @@ rewards telescope to final-minus-initial quality.  The scorer (critic)
 learns discounted future improvement; the actor term pushes the enhancer
 toward actions the scorer ranks higher, with gradients flowing only
 through the action input.
+
+Every function works on (B, L) batches, one row per trajectory.  ``t`` is
+the per-row step of ``x_t``; step-aware scorers (``step_input=True``) see
+it, the others ignore it.
 """
 
 from __future__ import annotations
@@ -15,70 +19,54 @@ import numpy as np
 
 from . import autodiff as ad
 from .metric import MetricSpec
-from .signals import LatentState
 
 
-def reward(prev: LatentState, cur: LatentState, x0: np.ndarray,
-           metric: MetricSpec) -> float:
-    """Metric improvement of the move cur -> prev (one reverse step)."""
-    if prev.t != cur.t - 1:
-        raise ValueError(f"states are not adjacent: {prev.t} vs {cur.t}")
-    x0 = np.asarray(x0)
-    return metric.evaluate(prev.x, x0) - metric.evaluate(cur.x, x0)
+def reward(x_prev: np.ndarray, x_t: np.ndarray, x0: np.ndarray,
+           metric: MetricSpec) -> np.ndarray:
+    """(B,) metric improvement of each row's move x_t -> x_prev."""
+    rew = np.empty(len(x_t))
+    for b in range(len(x_t)):
+        rew[b] = metric.evaluate(x_prev[b], x0[b]) \
+            - metric.evaluate(x_t[b], x0[b])
+    return rew
 
 
-class Transition:
-    """One executed reverse step and its reward."""
-
-    __slots__ = ("state", "action", "next_state", "reward")
-
-    def __init__(self, state: LatentState, action: np.ndarray,
-                 next_state: LatentState, reward: float):
-        if next_state.t != state.t - 1:
-            raise ValueError("next_state must sit one step below state")
-        if np.asarray(action).shape != state.x.shape:
-            raise ValueError("action shape must match the latent shape")
-        if not np.isfinite(reward):
-            raise ValueError(f"non-finite reward {reward!r}")
-        self.state = state
-        self.action = np.asarray(action)
-        self.next_state = next_state
-        self.reward = float(reward)
-
-
-def actor_loss(value_net, params_v, x_t, eps_hat: ad.Tensor,
-               x0) -> ad.Tensor:
-    """Negated scorer output; backward reaches only the enhancer.
+def actor_loss(value_net, params_v, x_t, eps_hat: ad.Tensor, x0,
+               t=None) -> ad.Tensor:
+    """Negated mean scorer output; backward reaches only the enhancer.
 
     ``eps_hat`` must be the live tape output of the enhancer.  The scorer's
     parameters enter as constants, so its weights get no gradient, which is
     the actor/critic separation.
     """
-    v = value_net.forward(params_v, x_t, eps_hat, x0, params_tracked=False)
+    v = value_net.forward(params_v, x_t, eps_hat, x0, t=t,
+                          params_tracked=False)
     return ad.scale(ad.mean_all(v), -1.0)
 
 
-def critic_target(r: float, gamma: float, value_net, params_v, net_d,
-                  params_d, x_prev: LatentState, y: np.ndarray,
-                  x0: np.ndarray) -> float:
-    """Bootstrapped scorer target: r + gamma * V(x_{t-1}, D(x_{t-1}), x0).
+def critic_target(rew: np.ndarray, t: np.ndarray, gamma: float, value_net,
+                  params_v, net_d, params_d, x_prev: np.ndarray,
+                  y: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """(B,) bootstrapped scorer targets r + gamma * V(x_{t-1}, D(x_{t-1}), x0).
 
-    Plain float, no tape: targets are constants to the scorer update.  At
-    the end of the walk (x_prev.t == 0) the tail is dropped.
+    Plain floats, no tape: targets are constants to the scorer update.
+    Rows that end the walk (t == 1) drop the tail.
     """
-    if x_prev.t == 0:
-        return float(r)
-    eps_next = net_d.forward(params_d, x_prev.x, y, float(x_prev.t)).value
-    v_next = value_net.forward(params_v, x_prev.x, eps_next, x0,
-                               t=x_prev.t).value \
-        if value_net.step_input else \
-        value_net.forward(params_v, x_prev.x, eps_next, x0).value
-    return float(r) + float(gamma) * float(v_next)
+    targets = rew.copy()
+    mask = t >= 2
+    if np.any(mask):
+        t_next = (t[mask] - 1).astype(np.float64)
+        eps_next = net_d.forward(params_d, x_prev[mask], y[mask],
+                                 t_next).value
+        v_next = value_net.forward(params_v, x_prev[mask], eps_next,
+                                   x0[mask], t=t_next).value
+        targets[mask] += gamma * v_next.astype(np.float64)
+    return targets
 
 
 def bellman_loss(value_net, params_v, x_t, eps_t, x0,
-                 target: float | np.ndarray) -> ad.Tensor:
-    """Squared regression of the scorer onto a fixed target."""
-    v = value_net.forward(params_v, x_t, eps_t, x0, params_tracked=True)
+                 target: np.ndarray, t=None) -> ad.Tensor:
+    """Squared regression of the scorer onto fixed targets."""
+    v = value_net.forward(params_v, x_t, eps_t, x0, t=t, params_tracked=True)
     diff = ad.sub(ad.const(np.asarray(target, dtype=v.value.dtype)), v)
     return ad.mean_all(ad.square(diff))

@@ -15,12 +15,13 @@ import tempfile
 import numpy as np
 
 from . import autodiff as ad
-from .diffusion import (forward_sample, reverse_step, target_noise)
+from .diffusion import (enhance, forward_sample_batch, reverse_mean_batch,
+                        target_noise_batch)
 from .metric import get_metric, neg_mse, si_snr
-from .nets import DiffusionNet, ValueNet
+from .nets import DiffusionNet
 from .rl import reward
 from .schedule import build_schedule
-from .signals import LatentState, SignalPair, synth_corpus
+from .signals import synth_corpus
 from .trainer import TrainConfig, checkpoint_load, checkpoint_save, train
 
 
@@ -46,17 +47,17 @@ def check_schedule_invariants():
 def check_zero_weight_reduction():
     sched = build_schedule(20, 1e-3, 0.2, weight_mode="zero")
     rng = np.random.default_rng(7)
-    x0 = rng.standard_normal(64)
-    y = rng.standard_normal(64)
-    pair = SignalPair(x0, y, 16000, "chk")
+    x0 = rng.standard_normal((1, 64))
+    y = rng.standard_normal((1, 64))
     for t in (1, 5, 20):
-        eps = rng.standard_normal(64)
-        got = forward_sample(pair, t, eps, sched).x
+        t_b = np.array([t])
+        eps = rng.standard_normal((1, 64))
+        got = forward_sample_batch(x0, y, t_b, eps, sched)
         ref = math.sqrt(sched.alpha_bar[t]) * x0 \
             + math.sqrt(1 - sched.alpha_bar[t]) * eps
         if not np.array_equal(got, ref):
             return "zero_weight_reduction", False, f"forward differs at t={t}"
-        tgt = target_noise(pair, eps, t, sched)
+        tgt = target_noise_batch(x0, y, t_b, eps, sched)
         if not np.array_equal(tgt, eps):
             return "zero_weight_reduction", False, f"target differs at t={t}"
     return "zero_weight_reduction", True, "forward and target collapse exactly"
@@ -131,21 +132,19 @@ def check_telescoping(n_rollouts: int = 5):
     dnet = DiffusionNet(channels=6, blocks=2, emb_dim=8)
     params = dnet.init_params(rng, zero_head=False)
     metric = get_metric("si_snr")
-    worst = 0.0
-    for _ in range(n_rollouts):
-        x0 = rng.standard_normal(96).astype(np.float32)
-        y = (x0 + 0.3 * rng.standard_normal(96)).astype(np.float32)
-        x = math.sqrt(float(sched.alpha_bar[sched.T])) * y
-        state = LatentState(x, sched.T)
-        first = metric.evaluate(state.x, x0)
-        total = 0.0
-        for t in range(sched.T, 0, -1):
-            eps_hat = dnet.forward(params, state.x, y, float(t)).value
-            nxt = reverse_step(state, y, eps_hat, None, sched)
-            total += reward(nxt, state, x0, metric)
-            state = nxt
-        direct = metric.evaluate(state.x, x0) - first
-        worst = max(worst, abs(total - direct))
+    x0 = rng.standard_normal((n_rollouts, 96)).astype(np.float32)
+    y = (x0 + 0.3 * rng.standard_normal((n_rollouts, 96))).astype(np.float32)
+    x = start = math.sqrt(float(sched.alpha_bar[sched.T])) * y
+    total = np.zeros(n_rollouts)
+    for t in range(sched.T, 0, -1):
+        eps_hat = dnet.forward(params, x, y, float(t)).value
+        nxt = reverse_mean_batch(x, y, eps_hat, np.full(n_rollouts, t), sched)
+        total += reward(nxt, x, x0, metric)
+        x = nxt
+    if not np.array_equal(x, enhance(dnet, params, y, sched)):
+        return ("telescoping_reward", False,
+                "stepwise walk differs from enhance")
+    worst = float(np.max(np.abs(total - reward(x, start, x0, metric))))
     ok = worst < 1e-9
     return "telescoping_reward", ok, f"worst gap {worst:.3g}"
 

@@ -45,25 +45,6 @@ class SignalPair:
             raise DataError(f"pair {self.id!r}: sample_rate must be positive")
 
 
-@dataclass
-class LatentState:
-    """A point on the diffusion trajectory: the latent and its step index.
-
-    ``t`` may be fractional when produced by an aligned inference schedule;
-    t = 0 means fully reversed.
-    """
-
-    x: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x)
-        if self.x.ndim != 1 or self.x.size == 0:
-            raise DataError("latent must be a non-empty 1-D array")
-        if not self.t >= 0:
-            raise DataError(f"latent step must be >= 0, got {self.t!r}")
-
-
 def mix_at_snr(clean: np.ndarray, noise: np.ndarray, snr_db: float,
                sample_rate: int = 16000, id: str = "",
                split: str = "") -> SignalPair:

@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
+from . import rl
 from .diffusion import (enhance, fast_sample, forward_sample_batch,
                         reverse_mean_batch, target_noise_batch)
 from .errors import CheckpointError, ConfigError, DataError, DivergenceError
@@ -508,16 +509,13 @@ def _joint_update(cfg, sched, dnet, vnet, params_d, params_v, adam_d, adam_v,
                   i) -> TelemetryRow:
     """One phase-2 iteration: actor-augmented enhancer update + scorer update."""
     t_emb = t_arr.astype(np.float64)
-    t_kw = {"t": t_emb} if vnet.step_input else {}
 
     pred = dnet.forward(params_d, x_t, yb, t_emb, params_tracked=True)
     action = pred.value  # detached action executed by the sampler
 
     def update_d():
         l1_t = ad.mean_all(ad.abs_(ad.sub(pred, ad.const(target))))
-        v_act = vnet.forward(params_v, x_t, pred, xb0, params_tracked=False,
-                             **t_kw)
-        l2_t = ad.scale(ad.mean_all(v_act), -1.0)
+        l2_t = rl.actor_loss(vnet, params_v, x_t, pred, xb0, t=t_emb)
         loss = ad.add(l1_t, ad.scale(l2_t, cfg.alpha))
         ad.backward(loss)
         dnet.accumulate_grads(params_d)
@@ -526,24 +524,11 @@ def _joint_update(cfg, sched, dnet, vnet, params_d, params_v, adam_d, adam_v,
 
     def update_v():
         x_prev = reverse_mean_batch(x_t, yb, action, t_arr, sched)
-        rew = np.empty(cfg.batch)
-        for b in range(cfg.batch):
-            rew[b] = metric.evaluate(x_prev[b], xb0[b]) \
-                - metric.evaluate(x_t[b], xb0[b])
-        targets = rew.copy()
-        mask = t_arr >= 2
-        if np.any(mask):
-            t_next = (t_arr[mask] - 1).astype(np.float64)
-            eps_next = dnet.forward(params_d, x_prev[mask], yb[mask],
-                                    t_next).value
-            nxt_kw = {"t": t_next} if vnet.step_input else {}
-            v_next = vnet.forward(params_v, x_prev[mask], eps_next,
-                                  xb0[mask], **nxt_kw).value
-            targets[mask] += cfg.gamma * v_next.astype(np.float64)
-        v_pred = vnet.forward(params_v, x_t, ad.const(action), xb0,
-                              params_tracked=True, **t_kw)
-        diff = ad.sub(ad.const(targets.astype(np.float32)), v_pred)
-        l3_t = ad.mean_all(ad.square(diff))
+        rew = rl.reward(x_prev, x_t, xb0, metric)
+        targets = rl.critic_target(rew, t_arr, cfg.gamma, vnet, params_v,
+                                   dnet, params_d, x_prev, yb, xb0)
+        l3_t = rl.bellman_loss(vnet, params_v, x_t, action, xb0, targets,
+                               t=t_emb)
         ad.backward(l3_t)
         vnet.accumulate_grads(params_v)
         adam_step(params_v, adam_v, cfg.lr_v)
@@ -755,9 +740,10 @@ def mismatch_experiment(dnet: DiffusionNet, params_elbo: ParamSet,
 
     For each utterance: sum the regression loss of the regression-only model
     over all steps (fresh noise per step), then walk the metric-trained
-    model's deterministic reverse chain accumulating stepwise reward, and
-    measure the end-to-end metric gain of that same walk.  Returns the two
-    Pearson correlations against the gain.
+    model's deterministic reverse chain, and take its cumulative stepwise
+    reward (which telescopes to the reward of the whole walk, from its
+    start sqrt(ab_T) y to its end) and the end-to-end metric gain of that
+    same walk.  Returns the two Pearson correlations against the gain.
     """
     if len(pairs) < 3:
         raise DataError("mismatch probe needs at least 3 utterances")
@@ -779,16 +765,10 @@ def mismatch_experiment(dnet: DiffusionNet, params_elbo: ParamSet,
                                 t_b.astype(np.float64)).value
             elbo_sum += float(np.mean(np.abs(pred - target)))
 
-        x = math.sqrt(float(sched.alpha_bar[sched.T])) * y32
-        m_cur = reward_metric.evaluate(x, pair.x0)
-        total_r = 0.0
-        for t in range(sched.T, 0, -1):
-            pred = dnet.forward(params_metric, x, y32, float(t)).value
-            x = float(sched.coef_x[t]) * x + float(sched.coef_y[t]) * y32 \
-                - float(sched.coef_eps[t]) * pred
-            m_prev = reward_metric.evaluate(x, pair.x0)
-            total_r += m_prev - m_cur
-            m_cur = m_prev
+        start = math.sqrt(float(sched.alpha_bar[sched.T])) * y32
+        x = enhance(dnet, params_metric, y32, sched, noiseless=True)
+        total_r = float(rl.reward(x[None], start[None], pair.x0[None],
+                                  reward_metric)[0])
         delta = report_metric.evaluate(x, pair.x0) \
             - report_metric.evaluate(pair.y, pair.x0)
         rows.append(MismatchRow(pair.id, elbo_sum, total_r, delta))

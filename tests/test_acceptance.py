@@ -16,14 +16,12 @@ import numpy as np
 import pytest
 
 import mose.autodiff as ad
-from mose import (DiffusionNet, SignalPair, TrainConfig, ValueNet,
-                  actor_loss, alpha_sweep, bellman_loss, build_schedule,
-                  forward_sample, mismatch_experiment, parse_config_file,
-                  reverse_step, synth_corpus, target_noise, train,
-                  write_sweep_csv)
+from mose import (DiffusionNet, TrainConfig, ValueNet, actor_loss,
+                  alpha_sweep, bellman_loss, build_schedule, enhance,
+                  forward_sample_batch, mismatch_experiment,
+                  parse_config_file, reverse_mean_batch, reward, synth_corpus,
+                  target_noise_batch, train, write_sweep_csv)
 from mose.metric import get_metric
-from mose.rl import reward
-from mose.signals import LatentState
 from mose.trainer import read_telemetry_csv
 
 
@@ -89,6 +87,16 @@ def test_c1_schedule_against_extended_precision_oracle(report):
     assert time.time() - t0 < 1.0
 
 
+class _FixedPredictor:
+    """A noise predictor that returns a preset prediction for each step."""
+
+    def __init__(self, eps_hat):
+        self.eps_hat = eps_hat  # row s is the prediction at chain step s
+
+    def forward(self, params, x, y, t):
+        return ad.const(self.eps_hat[int(t)][None, :])
+
+
 def test_c2_zero_weight_reduces_to_unconditional_process(report):
     t0 = time.time()
     gen = np.random.default_rng(42)
@@ -98,30 +106,39 @@ def test_c2_zero_weight_reduces_to_unconditional_process(report):
         bmin = float(gen.uniform(1e-4, 0.01))
         bmax = float(gen.uniform(0.05, 0.35))
         sched = build_schedule(T, bmin, bmax, weight_mode="zero")
-        t = int(gen.integers(1, T + 1))
+        t = np.array([int(gen.integers(1, T + 1))])
         n = int(gen.integers(8, 64))
-        x0 = gen.standard_normal(n)
-        y = gen.standard_normal(n)
-        eps = gen.standard_normal(n)
-        pair = SignalPair(x0, y, 16000, f"case{case}")
+        x0 = gen.standard_normal((1, n))
+        y = gen.standard_normal((1, n))
+        eps = gen.standard_normal((1, n))
 
-        got_f = forward_sample(pair, t, eps, sched).x
-        ab = sched.alpha_bar[t]
+        got_f = forward_sample_batch(x0, y, t, eps, sched)
+        ab = sched.alpha_bar[t[0]]
         ref_f = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
         if not np.array_equal(got_f, ref_f):
             failures.append((case, "forward"))
-        if not np.array_equal(target_noise(pair, eps, t, sched), eps):
+        if not np.array_equal(target_noise_batch(x0, y, t, eps, sched), eps):
             failures.append((case, "target"))
 
-        eps_hat = gen.standard_normal(n)
-        z = gen.standard_normal(n)
-        got_r = reverse_step(LatentState(got_f, t), y, eps_hat, z, sched).x
-        sa = math.sqrt(float(sched.alpha[t]))
-        ref_r = (1.0 / sa) * got_f \
-            - (float(sched.beta[t]) / (sa * math.sqrt(1.0 - float(ab)))) \
-            * eps_hat
-        if t > 1:
-            ref_r = ref_r + math.sqrt(float(sched.delta_tilde[t])) * z
+        # the whole reverse walk, step noise included, against the
+        # unconditional recursion fed the same predictions and draws
+        eps_hat = gen.standard_normal((T + 1, n))
+        seed = int(gen.integers(2 ** 32))
+        got_r = enhance(_FixedPredictor(eps_hat), None, y[0], sched,
+                        rng=np.random.default_rng(seed))
+        z = np.random.default_rng(seed)
+        ab_T = float(sched.alpha_bar[T])
+        ref_r = math.sqrt(ab_T) * y[0] \
+            + math.sqrt(1.0 - ab_T) * z.standard_normal(n)
+        for s in range(T, 0, -1):
+            sa = math.sqrt(float(sched.alpha[s]))
+            ref_r = (1.0 / sa) * ref_r \
+                - (float(sched.beta[s])
+                   / (sa * math.sqrt(1.0 - float(sched.alpha_bar[s])))) \
+                * eps_hat[s]
+            if s > 1:
+                ref_r = ref_r + math.sqrt(float(sched.delta_tilde[s])) \
+                    * z.standard_normal(n)
         if not np.array_equal(got_r, ref_r):
             failures.append((case, "reverse"))
     ok = not failures and (time.time() - t0) < 5.0
@@ -279,22 +296,19 @@ def test_c5_cumulative_reward_telescopes_on_deterministic_rollouts(report):
     params = dnet.init_params(np.random.default_rng(3), zero_head=False)
     metric = get_metric("si_snr")
     gen = np.random.default_rng(23)
-    worst = 0.0
-    for _ in range(100):
-        x0 = gen.standard_normal(96).astype(np.float32)
-        y = (x0 + 0.4 * gen.standard_normal(96)).astype(np.float32)
-        state = LatentState(
-            np.float32(math.sqrt(float(sched.alpha_bar[sched.T]))) * y,
-            sched.T)
-        first = metric.evaluate(state.x, x0)
-        total = 0.0
-        for t in range(sched.T, 0, -1):
-            eps_hat = dnet.forward(params, state.x, y, float(t)).value
-            nxt = reverse_step(state, y, eps_hat, None, sched)
-            total += reward(nxt, state, x0, metric)
-            state = nxt
-        direct = metric.evaluate(state.x, x0) - first
-        worst = max(worst, abs(total - direct))
+    draws = [(gen.standard_normal(96), gen.standard_normal(96))
+             for _ in range(100)]
+    x0 = np.stack([c for c, _ in draws]).astype(np.float32)
+    y = (x0 + 0.4 * np.stack([e for _, e in draws])).astype(np.float32)
+    # 100 deterministic rollouts, walked as one batch
+    x = start = np.float32(math.sqrt(float(sched.alpha_bar[sched.T]))) * y
+    total = np.zeros(len(x))
+    for t in range(sched.T, 0, -1):
+        eps_hat = dnet.forward(params, x, y, float(t)).value
+        x_prev = reverse_mean_batch(x, y, eps_hat, np.full(len(x), t), sched)
+        total += reward(x_prev, x, x0, metric)
+        x = x_prev
+    worst = float(np.max(np.abs(total - reward(x, start, x0, metric))))
     ok = worst <= 1e-9 and (time.time() - t0) < 60.0
     report(5, ok, f"100 rollouts, worst telescoping gap {worst:.2e}", t0)
     assert worst <= 1e-9
@@ -339,6 +353,7 @@ def test_c6_phase_discipline_and_zero_alpha_identity(report):
     assert time.time() - t0 < 60.0
 
 
+@pytest.mark.slow
 def test_c7_metric_driven_training_beats_regression_only(tmp_path, report):
     t0 = time.time()
     train_pairs = c7_train_corpus()
@@ -372,6 +387,7 @@ def test_c7_metric_driven_training_beats_regression_only(tmp_path, report):
     assert dt < 1800.0
 
 
+@pytest.mark.slow
 def test_c8_stepwise_reward_tracks_quality_better_than_the_loss(report):
     t0 = time.time()
     train_pairs = c7_train_corpus()

@@ -70,6 +70,13 @@ def test_train_outputs(work):
     text = (run / "run_manifest.txt").read_text()
     assert "command = train" in text and "config_hash = " in text
     assert "elbo_only = true" in text
+    # the machine, so a benchmark figure can be tied to its host
+    keys = {ln.partition(" = ")[0] for ln in text.splitlines()}
+    assert {"nproc", "python", "numpy", "blas_name", "blas_version",
+            "blas_openblas_configuration", "OPENBLAS_NUM_THREADS",
+            "OMP_NUM_THREADS", "MKL_NUM_THREADS"} <= keys
+    assert f"numpy = {np.__version__}" in text
+    assert "MOSE_THREADS" not in text
 
 
 def test_refuses_nonempty_out_then_force(work, capsys):

@@ -9,22 +9,15 @@ import pytest
 from mose import (
     AlignmentError,
     DiffusionNet,
-    LatentState,
     ScheduleError,
     SignalPair,
     align_inference_steps,
-    build_schedule,
     default_fast_schedule,
-    elbo_loss,
     enhance,
     fast_sample,
-    forward_sample,
     forward_sample_batch,
-    reverse_coefficients,
     reverse_mean_batch,
-    reverse_step,
     schedule_from_betas,
-    target_noise,
     target_noise_batch,
 )
 
@@ -40,22 +33,27 @@ def make_pair(rng, n=128):
 # ---------------------------------------------------------------------------
 # forward marginal
 
+def one_row(pair):
+    return pair.x0[None, :], pair.y[None, :]
+
+
 def test_forward_terminal_centers_on_conditioner(sched50, rng):
-    pair = make_pair(rng)
-    state = forward_sample(pair, 50, np.zeros(128), sched50)
+    x0, y = one_row(make_pair(rng))
+    x_t = forward_sample_batch(x0, y, np.array([50]), np.zeros((1, 128)),
+                               sched50)
     sa = math.sqrt(float(sched50.alpha_bar[50]))
-    assert np.array_equal(state.x, sa * pair.y)  # w[T] = 1 removes x0 entirely
-    assert state.t == 50
+    assert np.array_equal(x_t, sa * y)  # w[T] = 1 removes x0 entirely
 
 
 def test_forward_first_step_is_nearly_clean(sched50, rng):
-    pair = make_pair(rng)
-    state = forward_sample(pair, 1, np.zeros(128), sched50)
+    x0, y = one_row(make_pair(rng))
+    x_t = forward_sample_batch(x0, y, np.array([1]), np.zeros((1, 128)),
+                               sched50)
     w = float(sched50.w[1])
     sa = math.sqrt(float(sched50.alpha_bar[1]))
-    want = (1.0 - w) * sa * pair.x0 + w * sa * pair.y
-    assert np.array_equal(state.x, want)
-    assert np.max(np.abs(state.x - pair.x0)) < 0.02 * np.max(np.abs(pair.x0)) + 0.02
+    want = (1.0 - w) * sa * x0 + w * sa * y
+    assert np.array_equal(x_t, want)
+    assert np.max(np.abs(x_t - x0)) < 0.02 * np.max(np.abs(x0)) + 0.02
 
 
 def test_forward_monte_carlo_moments(sched50):
@@ -80,25 +78,29 @@ def test_forward_monte_carlo_moments(sched50):
 
 
 def test_forward_validation(sched50, rng):
-    pair = make_pair(rng)
+    x0, y = one_row(make_pair(rng))
+    eps = np.zeros((1, 128))
     with pytest.raises(ScheduleError):
-        forward_sample(pair, 0, np.zeros(128), sched50)
+        forward_sample_batch(x0, y, np.array([0]), eps, sched50)
     with pytest.raises(ScheduleError):
-        forward_sample(pair, 51, np.zeros(128), sched50)
+        forward_sample_batch(x0, y, np.array([51]), eps, sched50)
     with pytest.raises(ValueError):
-        forward_sample(pair, 3, np.zeros(64), sched50)
+        forward_sample_batch(x0, y, np.array([3]), np.zeros((1, 64)), sched50)
 
 
 def test_forward_batch_matches_scalar_path(sched50, rng):
+    # each row against the marginal in python-float arithmetic
     x0 = rng.standard_normal((4, 64))
     y = rng.standard_normal((4, 64))
     eps = rng.standard_normal((4, 64))
     t = np.array([1, 17, 34, 50])
     batch = forward_sample_batch(x0, y, t, eps, sched50)
     for i in range(4):
-        pair = SignalPair(x0[i], y[i], 16000, f"r{i}")
-        one = forward_sample(pair, int(t[i]), eps[i], sched50)
-        assert np.array_equal(batch[i], one.x)
+        w = float(sched50.w[t[i]])
+        sa = math.sqrt(float(sched50.alpha_bar[t[i]]))
+        sd = math.sqrt(float(sched50.delta[t[i]]))
+        want = (1.0 - w) * sa * x0[i] + w * sa * y[i] + sd * eps[i]
+        assert np.array_equal(batch[i], want)
 
 
 # ---------------------------------------------------------------------------
@@ -106,50 +108,47 @@ def test_forward_batch_matches_scalar_path(sched50, rng):
 
 def test_target_identity_with_latent(sched50, rng):
     # C_t = (x_t - sqrt(ab) x0) / sqrt(1 - ab), exactly the same noise draw
-    pair = make_pair(rng)
+    x0, y = one_row(make_pair(rng))
     for t in (1, 25, 50):
-        eps = rng.standard_normal(128)
-        c = target_noise(pair, eps, t, sched50)
-        x_t = forward_sample(pair, t, eps, sched50).x
+        t_b = np.array([t])
+        eps = rng.standard_normal((1, 128))
+        c = target_noise_batch(x0, y, t_b, eps, sched50)
+        x_t = forward_sample_batch(x0, y, t_b, eps, sched50)
         ab = float(sched50.alpha_bar[t])
-        recon = (x_t - math.sqrt(ab) * pair.x0) / math.sqrt(1.0 - ab)
+        recon = (x_t - math.sqrt(ab) * x0) / math.sqrt(1.0 - ab)
         assert np.max(np.abs(c - recon)) <= 1e-12
 
 
 def test_target_extended_precision_reimplementation(sched50, rng):
     # scalar-by-scalar rebuild of the target at t = 25 in 50-digit arithmetic
     t = 25
-    pair = make_pair(rng, n=16)
-    eps = rng.standard_normal(16)
-    got = target_noise(pair, eps, t, sched50)
+    x0, y = one_row(make_pair(rng, n=16))
+    eps = rng.standard_normal((1, 16))
+    got = target_noise_batch(x0, y, np.array([t]), eps, sched50)[0]
     ab = mp.mpf(float(sched50.alpha_bar[t]))
     w = mp.mpf(float(sched50.w[t]))
     dl = mp.mpf(float(sched50.delta[t]))
     s1 = mp.sqrt(1 - ab)
     for i in range(16):
-        want = (w * mp.sqrt(ab) / s1) * (mp.mpf(pair.y[i]) - mp.mpf(pair.x0[i])) \
-            + (mp.sqrt(dl) / s1) * mp.mpf(eps[i])
+        want = (w * mp.sqrt(ab) / s1) * (mp.mpf(y[0, i]) - mp.mpf(x0[0, i])) \
+            + (mp.sqrt(dl) / s1) * mp.mpf(eps[0, i])
         assert abs(float(got[i]) - float(want)) <= 1e-12
 
 
 def test_target_batch_matches_scalar_path(sched50, rng):
+    # each row against the target in python-float arithmetic
     x0 = rng.standard_normal((3, 32))
     y = rng.standard_normal((3, 32))
     eps = rng.standard_normal((3, 32))
     t = np.array([2, 30, 49])
     batch = target_noise_batch(x0, y, t, eps, sched50)
     for i in range(3):
-        pair = SignalPair(x0[i], y[i], 16000, f"r{i}")
+        ab = float(sched50.alpha_bar[t[i]])
+        s1 = math.sqrt(1.0 - ab)
+        c_mix = float(sched50.w[t[i]]) * math.sqrt(ab) / s1
+        c_eps = math.sqrt(float(sched50.delta[t[i]])) / s1
         assert np.array_equal(batch[i],
-                              target_noise(pair, eps[i], int(t[i]), sched50))
-
-
-def test_elbo_loss_closed_forms(rng):
-    t = rng.standard_normal(64)
-    assert elbo_loss(t, t) == 0.0
-    assert elbo_loss(t + 0.3, t) == pytest.approx(0.3, abs=1e-12)
-    with pytest.raises(ValueError):
-        elbo_loss(t, t[:32])
+                              c_mix * (y[i] - x0[i]) + c_eps * eps[i])
 
 
 # ---------------------------------------------------------------------------
@@ -158,31 +157,25 @@ def test_elbo_loss_closed_forms(rng):
 def test_zero_weight_reduction_is_bitwise(sched20_zero, rng):
     s = sched20_zero
     for _ in range(25):
-        t = int(rng.integers(1, 21))
-        x0 = rng.standard_normal(64)
-        y = rng.standard_normal(64)
-        eps = rng.standard_normal(64)
-        pair = SignalPair(x0, y, 16000, "z")
+        t = np.array([int(rng.integers(1, 21))])
+        x0 = rng.standard_normal((1, 64))
+        y = rng.standard_normal((1, 64))
+        eps = rng.standard_normal((1, 64))
 
-        sa = math.sqrt(float(s.alpha_bar[t]))
-        sd = math.sqrt(1.0 - float(s.alpha_bar[t]))
-        x_t = forward_sample(pair, t, eps, s).x
-        assert np.array_equal(x_t, sa * x0 + sd * eps)
+        ab = float(s.alpha_bar[t[0]])
+        x_t = forward_sample_batch(x0, y, t, eps, s)
+        assert np.array_equal(x_t, math.sqrt(ab) * x0
+                              + math.sqrt(1.0 - ab) * eps)
 
-        assert np.array_equal(target_noise(pair, eps, t, s), eps)
+        assert np.array_equal(target_noise_batch(x0, y, t, eps, s), eps)
 
-        eps_hat = rng.standard_normal(64)
-        z = rng.standard_normal(64) if t > 1 else None
-        got = reverse_step(LatentState(x_t, t), y, eps_hat, z, s)
-        a = float(s.alpha[t])
-        b = float(s.beta[t])
+        eps_hat = rng.standard_normal((1, 64))
+        got = reverse_mean_batch(x_t, y, eps_hat, t, s)
+        a = float(s.alpha[t[0]])
+        b = float(s.beta[t[0]])
         cx = 1.0 / math.sqrt(a)
-        ce = b / (math.sqrt(a) * math.sqrt(1.0 - float(s.alpha_bar[t])))
-        want = cx * x_t - ce * eps_hat
-        if t > 1:
-            want = want + math.sqrt(float(s.beta_tilde[t])) * z
-        assert np.array_equal(got.x, want)
-        assert got.t == t - 1
+        ce = b / (math.sqrt(a) * math.sqrt(1.0 - ab))
+        assert np.array_equal(got, cx * x_t - ce * eps_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -190,47 +183,61 @@ def test_zero_weight_reduction_is_bitwise(sched20_zero, rng):
 
 def test_reverse_step_is_affine(sched50, rng):
     # superposition in each argument at fixed coefficients
-    t = 20
-    x1, x2 = rng.standard_normal((2, 32))
-    y = rng.standard_normal(32)
-    e = rng.standard_normal(32)
-    f = lambda x: reverse_step(LatentState(x, t), y, e, None, sched50).x
+    t = np.array([20])
+    x1, x2 = rng.standard_normal((2, 1, 32))
+    y = rng.standard_normal((1, 32))
+    e = rng.standard_normal((1, 32))
+    f = lambda x: reverse_mean_batch(x, y, e, t, sched50)
     lhs = f(0.25 * x1 + 0.75 * x2)
     rhs = 0.25 * f(x1) + 0.75 * f(x2)
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
 def test_reverse_step_no_noise_at_final_step(sched50, rng):
-    x = rng.standard_normal(32)
-    y = rng.standard_normal(32)
-    e = rng.standard_normal(32)
-    z = rng.standard_normal(32)
-    a = reverse_step(LatentState(x, 1), y, e, z, sched50)
-    b = reverse_step(LatentState(x, 1), y, e, None, sched50)
-    assert np.array_equal(a.x, b.x)
-    assert a.t == 0
+    # start noise plus one draw for each step s = T..2: T draws in all
+    pair = make_pair(rng)
+    g = np.random.default_rng(8)
+    enhance(OracleNet(pair.x0, sched50), None, pair.y, sched50, rng=g)
+    ref = np.random.default_rng(8)
+    for _ in range(sched50.T):
+        ref.standard_normal(pair.y.size)
+    assert g.bit_generator.state == ref.bit_generator.state
 
 
 def test_reverse_step_validation(sched50, rng):
-    x = rng.standard_normal(8)
-    with pytest.raises(ScheduleError):
-        reverse_step(LatentState(x, 0.5), x, x, None, sched50)
-    with pytest.raises(ScheduleError):
-        reverse_step(LatentState(x, 51), x, x, None, sched50)
-    with pytest.raises(ScheduleError):
-        reverse_coefficients(0, sched50)
+    x = rng.standard_normal((1, 8))
+    for bad in (0.5, 0, 51):
+        with pytest.raises(ScheduleError):
+            reverse_mean_batch(x, x, x, np.array([bad]), sched50)
 
 
 def test_reverse_mean_batch_matches_scalar(sched50, rng):
+    # each row against the posterior mean in python-float arithmetic
     x = rng.standard_normal((3, 16))
     y = rng.standard_normal((3, 16))
     e = rng.standard_normal((3, 16))
     t = np.array([1, 25, 50])
     batch = reverse_mean_batch(x, y, e, t, sched50)
     for i in range(3):
-        one = reverse_step(LatentState(x[i], int(t[i])), y[i], e[i], None,
-                           sched50)
-        assert np.array_equal(batch[i], one.x)
+        want = float(sched50.coef_x[t[i]]) * x[i] \
+            + float(sched50.coef_y[t[i]]) * y[i] \
+            - float(sched50.coef_eps[t[i]]) * e[i]
+        assert np.array_equal(batch[i], want)
+
+
+def test_reverse_mean_keeps_each_terms_dtype(sched50, rng):
+    # coefficients scale a term in its own dtype, as python floats would
+    x = rng.standard_normal((2, 16)).astype(np.float32)
+    e = rng.standard_normal((2, 16))
+    t = np.array([3, 40])
+    got = reverse_mean_batch(x, x, e, t, sched50)
+    assert got.dtype == np.float64
+    for i in range(2):
+        want = float(sched50.coef_x[t[i]]) * x[i] \
+            + float(sched50.coef_y[t[i]]) * x[i] \
+            - float(sched50.coef_eps[t[i]]) * e[i]
+        assert np.array_equal(got[i], want)
+    assert reverse_mean_batch(x, x, x, t, sched50).dtype == np.float32
 
 
 def test_oracle_reverse_step_marginal_consistency(sched50):

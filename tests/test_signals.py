@@ -7,7 +7,6 @@ import pytest
 
 from mose import (
     DataError,
-    LatentState,
     SignalPair,
     load_corpus,
     mix_at_snr,
@@ -104,18 +103,6 @@ def test_pair_validation(rng):
         SignalPair(x, np.full(32, np.nan), 16000, "a")
     with pytest.raises(DataError):
         SignalPair(x, x, 0, "a")
-
-
-def test_latent_state_validation(rng):
-    x = rng.standard_normal(16)
-    s = LatentState(x, 3.5)
-    assert s.t == 3.5
-    with pytest.raises(DataError):
-        LatentState(x, -1)
-    with pytest.raises(DataError):
-        LatentState(np.zeros((2, 2)), 1)
-    with pytest.raises(DataError):
-        LatentState(x, float("nan"))
 
 
 # ---------------------------------------------------------------------------
