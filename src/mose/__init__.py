@@ -17,12 +17,12 @@ from .metric import (MetricSpec, external_metric, get_metric, neg_mse,
 from .nets import (AdamState, DiffusionNet, ParamSet, StepEmbedding,
                    ValueNet, adam_step, load_param_file, save_param_file)
 from .rl import actor_loss, bellman_loss, critic_target, reward
-from .schedule import (NoiseSchedule, build_schedule, dump_table,
-                       interpolation_weight, schedule_from_betas)
+from .schedule import (build_schedule, dump_table, interpolation_weight,
+                       schedule_from_betas)
 from .signals import (SignalPair, load_corpus, mix_at_snr, synth_corpus,
                       wav_read, wav_write, write_corpus)
-from .trainer import (TrainConfig, alpha_sweep, mismatch_experiment,
-                      parse_config_file, train, write_sweep_csv)
+from .trainer import (TrainConfig, alpha_sweep, mismatch_experiment, train,
+                      write_sweep_csv)
 
 __version__ = "0.1.0"
 
@@ -30,13 +30,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamState", "AlignmentError", "CheckpointError", "ConfigError",
     "DataError", "DiffusionNet", "DivergenceError", "MetricError",
-    "MetricSpec", "NoiseSchedule", "ParamSet", "ScheduleError", "SignalPair",
+    "MetricSpec", "ParamSet", "ScheduleError", "SignalPair",
     "StepEmbedding", "TrainConfig", "ValueNet", "__version__", "actor_loss",
     "adam_step", "align_inference_steps", "alpha_sweep", "bellman_loss",
     "build_schedule", "critic_target", "default_fast_schedule", "dump_table",
     "enhance", "external_metric", "fast_sample", "forward_sample_batch",
     "get_metric", "interpolation_weight", "load_corpus", "load_param_file",
-    "mismatch_experiment", "mix_at_snr", "neg_mse", "parse_config_file",
+    "mismatch_experiment", "mix_at_snr", "neg_mse",
     "register_metric", "reverse_mean_batch", "reward", "save_param_file",
     "schedule_from_betas", "seg_snr", "si_snr", "synth_corpus",
     "target_noise_batch", "train", "wav_read", "wav_write", "write_corpus",

@@ -4,11 +4,12 @@ Subcommands: synth, train, enhance, eval, mismatch, selfcheck.  Every
 command that writes results refuses to touch a non-empty output directory
 unless --force is given, and drops a run manifest (config snapshot, seed,
 package version, machine and BLAS build) next to its outputs so any run can
-be replayed.
+be replayed.  ``selfcheck`` runs the acceptance gates c1-c6 and c9 (see
+``mose.selfcheck``) without pytest.
 
 Exit codes: 0 success, 1 unexpected error, 2 bad configuration or
-arguments, 3 missing or malformed data, 4 training divergence, 5 failed
-self-check.
+arguments (including a bad schedule, inference ladder or metric name), 3
+missing or malformed data, 4 training divergence, 5 failed self-check.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ import numpy as np
 
 from . import __version__
 from .diffusion import default_fast_schedule
-from .errors import (CheckFailure, CheckpointError, ConfigError, DataError,
-                     DivergenceError, MoseError)
+from .errors import (AlignmentError, CheckFailure, CheckpointError,
+                     ConfigError, DataError, DivergenceError, MetricError,
+                     MoseError, ScheduleError)
 from .metric import get_metric
 from .schedule import build_schedule, dump_table
 from .signals import load_corpus, synth_corpus, wav_read, wav_write, write_corpus
@@ -35,7 +37,8 @@ from .trainer import (TrainConfig, checkpoint_load, config_hash,
                       write_comparison_csv, write_eval_csv,
                       write_mismatch_csv)
 
-_EXIT_BY_ERROR = ((ConfigError, 2), (CheckpointError, 3), (DataError, 3),
+_EXIT_BY_ERROR = ((ConfigError, 2), (ScheduleError, 2), (AlignmentError, 2),
+                  (MetricError, 2), (CheckpointError, 3), (DataError, 3),
                   (DivergenceError, 4), (CheckFailure, 5))
 
 
@@ -265,7 +268,7 @@ def cmd_mismatch(args) -> int:
 
 def cmd_selfcheck(args) -> int:
     from .selfcheck import run_selfcheck
-    results = run_selfcheck(quick=args.quick)
+    results = run_selfcheck()
     failed = 0
     for name, ok, detail in results:
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
@@ -347,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true")
     p.set_defaults(fn=cmd_mismatch)
 
-    p = sub.add_parser("selfcheck", help="run internal consistency checks")
-    p.add_argument("--quick", action="store_true")
+    p = sub.add_parser("selfcheck",
+                       help="run the acceptance gates c1-c6 and c9")
     p.set_defaults(fn=cmd_selfcheck)
     return ap
 

@@ -40,7 +40,6 @@ from the stored arrays rather than recomputed from alpha_bar ratios.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -138,53 +137,6 @@ class NoiseSchedule:
     coef_x: np.ndarray       # reverse mean coefficients
     coef_y: np.ndarray
     coef_eps: np.ndarray
-
-    def step(self, t: int) -> StepConstants:
-        """The transition and reverse constants of step t, 1 <= t <= T."""
-        if not 1 <= t <= self.T:
-            raise ScheduleError(f"step {t} outside 1..{self.T}")
-        return StepConstants(
-            gain=float(self.gain[t]), mix=float(self.mix[t]),
-            var=float(self.var[t]), post_var=float(self.delta_tilde[t]),
-            coef_x=float(self.coef_x[t]), coef_y=float(self.coef_y[t]),
-            coef_eps=float(self.coef_eps[t]))
-
-    def to_dict(self) -> dict:
-        d = {"T": self.T, "weight_mode": self.weight_mode}
-        for name in ("beta", "alpha", "alpha_bar", "w", "delta", "delta_tilde",
-                     "beta_tilde", "gain", "mix", "var", "coef_x", "coef_y",
-                     "coef_eps"):
-            d[name] = [float(v) for v in getattr(self, name)]
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NoiseSchedule":
-        try:
-            T = int(d["T"])
-            mode = str(d["weight_mode"])
-            arrays = {name: np.asarray(d[name], dtype=np.float64)
-                      for name in ("beta", "alpha", "alpha_bar", "w", "delta",
-                                   "delta_tilde", "beta_tilde", "gain", "mix",
-                                   "var", "coef_x", "coef_y", "coef_eps")}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScheduleError(f"malformed schedule payload: {exc}") from exc
-        if mode not in _WEIGHT_MODES:
-            raise ScheduleError(f"unknown weight_mode {mode!r}")
-        for name, arr in arrays.items():
-            if arr.shape != (T + 1,):
-                raise ScheduleError(f"array {name} has shape {arr.shape}, "
-                                    f"expected ({T + 1},)")
-            arr.flags.writeable = False
-        return cls(T=T, weight_mode=mode, **arrays)
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @classmethod
-    def load(cls, path) -> "NoiseSchedule":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def schedule_from_betas(betas, weight_mode: str = "interpolated") -> NoiseSchedule:

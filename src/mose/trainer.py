@@ -645,18 +645,23 @@ def write_eval_csv(path, report: EvalReport) -> None:
                          r.split, r.metric, repr(r.noisy), repr(r.enhanced)])
 
 
-def write_comparison_csv(path, reports: dict[str, EvalReport],
-                         metric_names: list[str]) -> None:
-    """One row per system, one column per metric, plus the unprocessed row."""
+def _write_table(path, metric_names, unprocessed: dict, systems) -> None:
+    """Header, the unprocessed row, then one row per (label, scores)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["system"] + list(metric_names))
-        first = next(iter(reports.values()))
-        noisy = {s["metric"]: s["noisy_mean"] for s in first.summary()}
-        wr.writerow(["unprocessed"] + [repr(noisy[m]) for m in metric_names])
-        for label, rep in reports.items():
-            enh = {s["metric"]: s["enhanced_mean"] for s in rep.summary()}
-            wr.writerow([label] + [repr(enh[m]) for m in metric_names])
+        for label, scores in [("unprocessed", unprocessed)] + list(systems):
+            wr.writerow([label] + [repr(scores[m]) for m in metric_names])
+
+
+def write_comparison_csv(path, reports: dict[str, EvalReport],
+                         metric_names: list[str]) -> None:
+    """One row per system, one column per metric, plus the unprocessed row."""
+    first = next(iter(reports.values()))
+    noisy = {s["metric"]: s["noisy_mean"] for s in first.summary()}
+    _write_table(path, metric_names, noisy, [
+        (label, {s["metric"]: s["enhanced_mean"] for s in rep.summary()})
+        for label, rep in reports.items()])
 
 
 @dataclass
@@ -704,14 +709,9 @@ def alpha_sweep(base: TrainConfig, train_pairs: list[SignalPair],
 
 def write_sweep_csv(path, sweep: SweepResult, metric_names) -> None:
     """Compact comparison table: unprocessed row plus one row per alpha."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["system"] + list(metric_names))
-        wr.writerow(["unprocessed"] + [repr(sweep.unprocessed[m])
-                                       for m in metric_names])
-        for a in sorted(sweep.by_alpha):
-            wr.writerow([f"alpha={a:g}"] + [repr(sweep.by_alpha[a][m])
-                                            for m in metric_names])
+    _write_table(path, metric_names, sweep.unprocessed,
+                 [(f"alpha={a:g}", sweep.by_alpha[a])
+                  for a in sorted(sweep.by_alpha)])
 
 
 # ---------------------------------------------------------------------------

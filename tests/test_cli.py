@@ -223,20 +223,60 @@ def test_exit_code_4_on_divergence(work, tmp_path):
     assert rc == 4
 
 
+@pytest.mark.parametrize("argv, ckpt", [
+    (["train", "--metric", "bogus"], False),            # MetricError
+    (["train", "--steps", "3"], False),                 # ScheduleError
+    (["eval", "--fast-schedule", ",".join(["0.1"] * 9)], True),  # > T steps
+    (["eval", "--fast-steps", "1"], True),              # ScheduleError
+], ids=["metric", "steps", "fast-schedule", "fast-steps"])
+def test_exit_code_2_on_bad_arguments(work, tmp_path, argv, ckpt):
+    cmd, *rest = argv
+    if ckpt:
+        rest += ["--ckpt", str(work["ckpt_m"])]
+    else:
+        rest += ["--config", str(work["root"] / "metric.cfg")]
+    rc = main([cmd, *rest, "--data", str(work["manifest"]),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+
+
 def test_exit_code_5_on_failed_selfcheck(monkeypatch, capsys):
     import mose.selfcheck as sc
     monkeypatch.setattr(sc, "run_selfcheck",
-                        lambda quick=False: [("doom", False, "synthetic")])
-    rc = main(["selfcheck", "--quick"])
+                        lambda: [("doom", False, "synthetic")])
+    rc = main(["selfcheck"])
     assert rc == 5
     assert "[FAIL] doom" in capsys.readouterr().out
 
 
 def test_selfcheck_quick_passes(capsys):
-    rc = main(["selfcheck", "--quick"])
+    rc = main(["selfcheck"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+def test_selfcheck_fails_on_a_perturbed_reverse_mean(monkeypatch, capsys):
+    import mose.diffusion
+    import mose.selfcheck as sc
+    orig = mose.diffusion.reverse_mean_batch
+
+    def perturbed(*args, **kwargs):
+        return orig(*args, **kwargs) * (1 + 1e-6)
+
+    bound = [m for name, m in sys.modules.items()
+             if name.split(".")[0] == "mose"
+             and getattr(m, "reverse_mean_batch", None) is orig]
+    assert mose.diffusion in bound and sc in bound
+    for module in bound:
+        monkeypatch.setattr(module, "reverse_mean_batch", perturbed)
+
+    status = {name: ok for name, ok, _ in sc.run_selfcheck()}
+    assert {name.split("_")[0] for name in status} >= {
+        "c1", "c2", "c3", "c4", "c5", "c6", "c9"}
+    assert status["c2_zero_weight_reduction"] is False
+    assert main(["selfcheck"]) == 5
+    assert "[FAIL] c2_zero_weight_reduction" in capsys.readouterr().out
 
 
 def test_version_and_module_entry():

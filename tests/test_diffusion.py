@@ -402,6 +402,12 @@ def test_real_network_chain_runs(sched50, rng):
     assert out.shape == (96,)
     assert out.dtype == np.float32
     assert np.all(np.isfinite(out))
+    # without noise the walk is reverse_mean_batch applied step by step
+    x = math.sqrt(float(sched50.alpha_bar[50])) * y[None, :]
+    for t in range(50, 0, -1):
+        eps_hat = net.forward(params, x, y[None, :], float(t)).value
+        x = reverse_mean_batch(x, y[None, :], eps_hat, np.array([t]), sched50)
+    assert np.array_equal(x[0], enhance(net, params, y, sched50))
 
 
 def test_batched_walk_rows_equal_walks_alone(sched50, rng):

@@ -1,6 +1,5 @@
 """Schedule construction against extended-precision and closed-form oracles."""
 
-import json
 import math
 
 import mpmath as mp
@@ -8,7 +7,6 @@ import numpy as np
 import pytest
 
 from mose import (
-    NoiseSchedule,
     ScheduleError,
     build_schedule,
     dump_table,
@@ -233,59 +231,6 @@ def test_from_betas_rejects_bad_sequences():
         schedule_from_betas([[0.1, 0.2]])
     with pytest.raises(ScheduleError):
         schedule_from_betas([0.1, 0.2], weight_mode="banana")
-
-
-def test_step_accessor_bounds(sched50):
-    sc = sched50.step(7)
-    assert sc.gain == float(sched50.gain[7])
-    assert sc.post_var == float(sched50.delta_tilde[7])
-    for bad in (0, 51, -1):
-        with pytest.raises(ScheduleError):
-            sched50.step(bad)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def test_round_trip_exact(tmp_path, sched50):
-    path = tmp_path / "sched.json"
-    sched50.save(path)
-    back = NoiseSchedule.load(path)
-    assert back.T == sched50.T
-    assert back.weight_mode == sched50.weight_mode
-    for name in ("beta", "alpha", "alpha_bar", "w", "delta", "delta_tilde",
-                 "beta_tilde", "gain", "mix", "var", "coef_x", "coef_y",
-                 "coef_eps"):
-        a = getattr(sched50, name)
-        b = getattr(back, name)
-        assert a.dtype == b.dtype == np.float64
-        assert np.array_equal(a, b)
-        assert not b.flags.writeable
-
-
-def test_from_dict_rejects_malformed(sched50):
-    d = sched50.to_dict()
-    short = dict(d)
-    short["w"] = short["w"][:-1]
-    with pytest.raises(ScheduleError):
-        NoiseSchedule.from_dict(short)
-    missing = dict(d)
-    del missing["gain"]
-    with pytest.raises(ScheduleError):
-        NoiseSchedule.from_dict(missing)
-    bad_mode = dict(d)
-    bad_mode["weight_mode"] = "other"
-    with pytest.raises(ScheduleError):
-        NoiseSchedule.from_dict(bad_mode)
-
-
-def test_save_produces_plain_json(tmp_path, sched50):
-    path = tmp_path / "sched.json"
-    sched50.save(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    assert payload["T"] == 50
-    assert len(payload["alpha_bar"]) == 51
 
 
 def test_dump_table_shape(sched50):
