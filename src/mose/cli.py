@@ -31,10 +31,10 @@ from .errors import (AlignmentError, CheckFailure, CheckpointError,
 from .metric import get_metric
 from .schedule import build_schedule, dump_table
 from .signals import load_corpus, synth_corpus, wav_read, wav_write, write_corpus
-from .trainer import (TrainConfig, checkpoint_load, config_hash,
+from .trainer import (TrainConfig, build_dnet, checkpoint_load, config_hash,
                       config_to_text, enhance_all, evaluate,
-                      mismatch_experiment, parse_config_file, train,
-                      write_comparison_csv, write_eval_csv,
+                      mismatch_experiment, parse_config_file, run_inputs,
+                      train, write_comparison_csv, write_eval_csv,
                       write_mismatch_csv)
 
 _EXIT_BY_ERROR = ((ConfigError, 2), (ScheduleError, 2), (AlignmentError, 2),
@@ -130,10 +130,11 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    out = _prepare_out(args.out, args.force or args.resume is not None)
     corpus = [p for p in load_corpus(args.data) if p.split == "train"]
     if not corpus:
         raise DataError(f"{args.data}: no pairs with split 'train'")
+    run_inputs(cfg, corpus)  # refuse a bad run before --out gets a file
+    out = _prepare_out(args.out, args.force or args.resume is not None)
     _write_run_manifest(out, "train", cfg, {"data": args.data})
     res = train(cfg, corpus, out_dir=out, resume=args.resume,
                 checkpoint_every=args.checkpoint_every)
@@ -149,12 +150,10 @@ def cmd_train(args) -> int:
 
 
 def _load_model(ckpt_dir: str):
-    from .trainer import build_nets
     st = checkpoint_load(ckpt_dir)
-    dnet, vnet = build_nets(st.config)
     sched = build_schedule(st.config.steps, st.config.beta_min,
                            st.config.beta_max)
-    return st, dnet, sched
+    return st, build_dnet(st.config), sched
 
 
 def _name_rng(seed: int, name: str) -> np.random.Generator:

@@ -1,7 +1,9 @@
 """Quality metrics and the pluggable metric registry.
 
 A metric compares a candidate signal against a clean reference and returns
-one float, higher meaning better unless its MetricSpec flags the opposite.
+one float, higher meaning better: rewards are score improvements, so a
+quality measure that falls as quality rises must be registered negated
+(as ``neg_mse`` is).
 External scorers plug in through a subprocess adapter that exchanges WAV
 files.
 """
@@ -25,8 +27,6 @@ from .errors import MetricError
 class MetricSpec:
     name: str
     evaluate: Callable[[np.ndarray, np.ndarray], float]
-    higher_is_better: bool = True
-    bounded_range: tuple[float, float] | None = None
 
 
 def _check_pair(candidate, reference):
@@ -132,8 +132,8 @@ def external_metric(name: str, command: str,
 
 
 _BUILTINS: dict[str, MetricSpec] = {
-    "si_snr": MetricSpec("si_snr", si_snr, bounded_range=(-40.0, 60.0)),
-    "seg_snr": MetricSpec("seg_snr", seg_snr, bounded_range=(-40.0, 60.0)),
+    "si_snr": MetricSpec("si_snr", si_snr),
+    "seg_snr": MetricSpec("seg_snr", seg_snr),
     "neg_mse": MetricSpec("neg_mse", neg_mse),
 }
 

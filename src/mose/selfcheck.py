@@ -298,8 +298,8 @@ def c9_replay_and_resume(work_dir) -> tuple[bool, list[bool], int]:
     """Trains ``C9_CONFIG`` into ``work_dir`` three ways: straight, replayed
     from the stored config text, and interrupted at iteration 15 then
     resumed from the periodic checkpoint.  Returns (whether the interruption
-    fired, byte equality of telemetry.csv, theta_d.f32 and theta_v.f32
-    across the three, telemetry rows of the straight run)."""
+    fired, byte equality of telemetry.csv, theta_d.f32, theta_v.f32 and
+    manifest.txt across the three, telemetry rows of the straight run)."""
     cfg = C9_CONFIG
     corpus = synth_corpus(seed=21, n_utterances=4, length=256,
                           snr_levels=[0.0, 10.0])
@@ -335,7 +335,8 @@ def c9_replay_and_resume(work_dir) -> tuple[bool, list[bool], int]:
 
     same = []
     for name in ("telemetry.csv", os.path.join("checkpoint", "theta_d.f32"),
-                 os.path.join("checkpoint", "theta_v.f32")):
+                 os.path.join("checkpoint", "theta_v.f32"),
+                 os.path.join("checkpoint", "manifest.txt")):
         same.append(blob(dir_a, name) == blob(dir_b, name)
                     and blob(dir_a, name) == blob(dir_c, name))
     rows = read_telemetry_csv(os.path.join(dir_a, "telemetry.csv"))

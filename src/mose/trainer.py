@@ -4,8 +4,14 @@ Phase 1 (iterations 1..n_th) trains the enhancer on the combined-noise
 regression alone.  Phase 2 adds the metric-oriented actor term and starts
 training the scorer on bootstrapped improvement targets.  Per iteration the
 generator is consumed in a fixed order (utterance indices, noise, steps), so
-a run is exactly replayable from its config and seed, and checkpoints store
-the generator state for bit-identical resumption.
+a run is exactly replayable from its config and seed.
+
+Everything a run carries from one iteration to the next is one
+``TrainState``: the config, the iteration count, both parameter sets and
+Adam states, the generator and the divergence guard's warm-up losses.
+``train`` starts a fresh state or resumes a given one, steps it in place and
+returns it; ``checkpoint_save`` writes all of it and ``checkpoint_load``
+reads it back, so a resumed run writes the same bytes as the straight one.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .nets import (AdamState, DiffusionNet, ParamSet, ValueNet, adam_step,
 from .schedule import NoiseSchedule, build_schedule
 from .signals import SignalPair
 
-_CKPT_FORMAT = "mose-checkpoint-1"
+_CKPT_FORMAT = "mose-checkpoint-2"
 
 
 @dataclass(frozen=True)
@@ -133,23 +139,27 @@ def config_from_mapping(mapping: dict, base: TrainConfig | None = None) -> Train
     return replace(base, **updates)
 
 
-def parse_config_file(path, base: TrainConfig | None = None) -> TrainConfig:
-    """Read a flat ``key = value`` file with # comments."""
+def _key_values(path, error):
+    """Yield the (key, value) pairs of a flat ``key = value`` file with #
+    comments, in file order; problems raise ``error``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    mapping = {}
+        raise error(f"cannot read {path}: {exc}") from exc
     for i, ln in enumerate(lines, 1):
         s = ln.strip()
         if not s or s.startswith("#"):
             continue
         if "=" not in s:
-            raise ConfigError(f"{path}:{i}: expected 'key = value', got {ln!r}")
+            raise error(f"{path}:{i}: expected 'key = value', got {ln!r}")
         key, _, val = s.partition("=")
-        mapping[key.strip()] = val.strip()
-    return config_from_mapping(mapping, base)
+        yield key.strip(), val.strip()
+
+
+def parse_config_file(path, base: TrainConfig | None = None) -> TrainConfig:
+    """Read a flat ``key = value`` config file with # comments."""
+    return config_from_mapping(dict(_key_values(path, ConfigError)), base)
 
 
 def config_hash(cfg: TrainConfig) -> str:
@@ -179,6 +189,11 @@ def write_telemetry_csv(path, rows, append: bool = False) -> None:
                      f"{r.reward_mean!r},{r.target_mean!r}\n")
 
 
+def _telemetry_row(line: str) -> TelemetryRow:
+    it, ph, *vals = line.split(",")
+    return TelemetryRow(int(it), int(ph), *map(float, vals))
+
+
 def _truncate_telemetry(path, upto: int) -> None:
     """Rewrite a telemetry file keeping rows up to an iteration.
 
@@ -194,11 +209,9 @@ def _truncate_telemetry(path, upto: int) -> None:
     rows = []
     if lines and lines[0] == TELEMETRY_HEADER:
         for ln in lines[1:]:
-            parts = ln.split(",")
             try:
-                row = TelemetryRow(int(parts[0]), int(parts[1]),
-                                   *map(float, parts[2:7]))
-            except (ValueError, IndexError):
+                row = _telemetry_row(ln)
+            except (ValueError, TypeError):  # torn: bad field or field count
                 break
             if row.iter > upto:
                 break
@@ -211,23 +224,25 @@ def read_telemetry_csv(path) -> list[TelemetryRow]:
         lines = fh.read().splitlines()
     if not lines or lines[0] != TELEMETRY_HEADER:
         raise DataError(f"{path}: missing telemetry header")
-    rows = []
-    for ln in lines[1:]:
-        it, ph, *vals = ln.split(",")
-        rows.append(TelemetryRow(int(it), int(ph), *map(float, vals)))
-    return rows
+    return [_telemetry_row(ln) for ln in lines[1:]]
+
+
+def _max_time(cfg: TrainConfig) -> float:
+    return float(max(200, 4 * cfg.steps))
+
+
+def build_dnet(cfg: TrainConfig) -> DiffusionNet:
+    return DiffusionNet(channels=cfg.d_channels, blocks=cfg.d_blocks,
+                        kernel=cfg.d_kernel, emb_dim=cfg.emb_dim,
+                        max_time=_max_time(cfg))
 
 
 def build_nets(cfg: TrainConfig) -> tuple[DiffusionNet, ValueNet]:
-    max_time = float(max(200, 4 * cfg.steps))
-    dnet = DiffusionNet(channels=cfg.d_channels, blocks=cfg.d_blocks,
-                        kernel=cfg.d_kernel, emb_dim=cfg.emb_dim,
-                        max_time=max_time)
     vnet = ValueNet(channels=cfg.v_channels, kernel=cfg.v_kernel,
                     mlp_width=cfg.v_mlp_width,
                     step_input=cfg.critic_step_input, emb_dim=cfg.emb_dim,
-                    max_time=max_time)
-    return dnet, vnet
+                    max_time=_max_time(cfg))
+    return build_dnet(cfg), vnet
 
 
 def resolve_metric(cfg: TrainConfig, sample_rate: int) -> MetricSpec:
@@ -237,91 +252,78 @@ def resolve_metric(cfg: TrainConfig, sample_rate: int) -> MetricSpec:
 
 
 # ---------------------------------------------------------------------------
-# checkpoints
+# run state and checkpoints
 
-def _manifest_lines(cfg_hash: str, iteration: int, l1_ref: float,
-                    dnet: DiffusionNet, vnet: ValueNet,
-                    adam_d: AdamState, adam_v: AdamState) -> list[str]:
-    lines = [f"format = {_CKPT_FORMAT}",
-             f"config_hash = {cfg_hash}",
-             f"iteration = {iteration}",
-             f"l1_ref = {l1_ref!r}",
-             f"adam_d_step = {adam_d.step}",
-             f"adam_v_step = {adam_v.step}"]
-    for tag, net in (("d", dnet), ("v", vnet)):
-        for name, shape in net.manifest:
-            dims = " ".join(str(d) for d in shape)
-            lines.append(f"param {tag} {name} {dims}")
-    return lines
+_GUARD_WINDOW = 20  # leading iterations whose mean l1 the guard compares to
 
 
-def checkpoint_save(path, cfg: TrainConfig, iteration: int,
-                    params_d: ParamSet, params_v: ParamSet,
-                    adam_d: AdamState, adam_v: AdamState,
-                    rng: np.random.Generator, l1_ref: float,
-                    dnet: DiffusionNet, vnet: ValueNet) -> None:
+@dataclass
+class TrainState:
+    """Everything a run carries from one iteration to the next."""
+
+    config: TrainConfig
+    iteration: int             # iterations done
+    params_d: ParamSet
+    params_v: ParamSet
+    adam_d: AdamState
+    adam_v: AdamState
+    rng: np.random.Generator
+    warm_l1: list[float]       # l1 of the first _GUARD_WINDOW iterations
+
+    @property
+    def l1_ref(self) -> float:
+        """The divergence guard's early-run level: the mean warm-up l1, NaN
+        until the warm-up window is complete."""
+        if len(self.warm_l1) < min(_GUARD_WINDOW, self.config.n_total):
+            return math.nan
+        return float(np.mean(self.warm_l1))
+
+
+def checkpoint_save(path, state: TrainState) -> None:
     os.makedirs(path, exist_ok=True)
-    save_param_file(os.path.join(path, "theta_d.f32"), params_d)
-    save_param_file(os.path.join(path, "theta_v.f32"), params_v)
-    for tag, st in (("d", adam_d), ("v", adam_v)):
+    save_param_file(os.path.join(path, "theta_d.f32"), state.params_d)
+    save_param_file(os.path.join(path, "theta_v.f32"), state.params_v)
+    for tag, st in (("d", state.adam_d), ("v", state.adam_v)):
         st.m.astype("<f4", copy=False).tofile(
             os.path.join(path, f"adam_{tag}_m.f32"))
         st.v.astype("<f4", copy=False).tofile(
             os.path.join(path, f"adam_{tag}_v.f32"))
     with open(os.path.join(path, "rng.json"), "w", encoding="utf-8") as fh:
-        json.dump(rng.bit_generator.state, fh)
+        json.dump(state.rng.bit_generator.state, fh)
     with open(os.path.join(path, "config.txt"), "w", encoding="utf-8") as fh:
-        fh.write(config_to_text(cfg))
-    lines = _manifest_lines(config_hash(cfg), iteration, l1_ref, dnet, vnet,
-                            adam_d, adam_v)
+        fh.write(config_to_text(state.config))
+    lines = [f"format = {_CKPT_FORMAT}",
+             f"config_hash = {config_hash(state.config)}",
+             f"iteration = {state.iteration}",
+             f"adam_d_step = {state.adam_d.step}",
+             f"adam_v_step = {state.adam_v.step}",
+             "warm_l1 = " + " ".join(repr(v) for v in state.warm_l1)]
+    for tag, params in (("d", state.params_d), ("v", state.params_v)):
+        for name, shape in params.manifest:
+            lines.append(f"param {tag} {name} = "
+                         + " ".join(str(d) for d in shape))
     with open(os.path.join(path, "manifest.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-@dataclass
-class CheckpointState:
-    config: TrainConfig
-    config_hash: str
-    iteration: int
-    l1_ref: float
-    params_d: ParamSet
-    params_v: ParamSet
-    adam_d: AdamState
-    adam_v: AdamState
-    rng_state: dict
-
-
-def checkpoint_load(path) -> CheckpointState:
+def checkpoint_load(path) -> TrainState:
     mpath = os.path.join(path, "manifest.txt")
-    try:
-        with open(mpath, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    except OSError as exc:
-        raise CheckpointError(f"cannot read {mpath}: {exc}") from exc
-    kv = {}
+    pairs = _key_values(mpath, CheckpointError)
+    head = next(pairs, None)  # read on only if the format is known
+    if head != ("format", _CKPT_FORMAT):
+        raise CheckpointError(f"{mpath}: unknown format {head!r}; this "
+                              f"version reads {_CKPT_FORMAT!r}")
+    kv = dict(pairs)
     manifests = {"d": [], "v": []}
-    for ln in lines:
-        if ln.startswith("param "):
-            parts = ln.split()
-            if len(parts) < 4 or parts[1] not in manifests:
-                raise CheckpointError(f"{mpath}: malformed line {ln!r}")
-            try:
-                shape = tuple(int(x) for x in parts[3:])
-            except ValueError as exc:
-                raise CheckpointError(f"{mpath}: malformed line {ln!r}") \
-                    from exc
-            manifests[parts[1]].append((parts[2], shape))
-        elif " = " in ln:
-            key, _, val = ln.partition(" = ")
-            kv[key.strip()] = val.strip()
-        else:
-            raise CheckpointError(f"{mpath}: malformed line {ln!r}")
-    if kv.get("format") != _CKPT_FORMAT:
-        raise CheckpointError(f"{mpath}: unknown format {kv.get('format')!r}")
     try:
+        for key, val in kv.items():
+            if key.startswith("param "):
+                _, tag, name = key.split()
+                manifests[tag].append(
+                    (name, tuple(int(x) for x in val.split())))
         iteration = int(kv["iteration"])
-        l1_ref = float(kv["l1_ref"])
-        steps = (int(kv["adam_d_step"]), int(kv["adam_v_step"]))
+        steps = {"d": int(kv["adam_d_step"]), "v": int(kv["adam_v_step"])}
+        warm_l1 = [float(x) for x in kv["warm_l1"].split()]
         cfg_hash = kv["config_hash"]
     except (KeyError, ValueError) as exc:
         raise CheckpointError(f"{mpath}: missing or malformed field: {exc}") \
@@ -330,26 +332,26 @@ def checkpoint_load(path) -> CheckpointState:
     if config_hash(cfg) != cfg_hash:
         raise CheckpointError(f"{path}: config.txt does not match the "
                               f"recorded config hash")
-    sizes = {tag: sum(int(np.prod(s)) for _, s in manifests[tag])
-             for tag in ("d", "v")}
-    params_d = ParamSet(manifests["d"], load_param_file(
-        os.path.join(path, "theta_d.f32"), sizes["d"]))
-    params_v = ParamSet(manifests["v"], load_param_file(
-        os.path.join(path, "theta_v.f32"), sizes["v"]))
-    adam = {}
-    for tag in ("d", "v"):
-        m = load_param_file(os.path.join(path, f"adam_{tag}_m.f32"),
-                            sizes[tag])
-        v = load_param_file(os.path.join(path, f"adam_{tag}_v.f32"),
-                            sizes[tag])
-        adam[tag] = AdamState(m, v, steps[0] if tag == "d" else steps[1])
+    if len(warm_l1) != min(iteration, _GUARD_WINDOW):
+        raise CheckpointError(f"{mpath}: {len(warm_l1)} warm-up losses at "
+                              f"iteration {iteration}")
+    params, adam = {}, {}
+    for tag, manifest in manifests.items():
+        size = sum(int(np.prod(s)) for _, s in manifest)
+        params[tag] = ParamSet(manifest, load_param_file(
+            os.path.join(path, f"theta_{tag}.f32"), size))
+        adam[tag] = AdamState(
+            load_param_file(os.path.join(path, f"adam_{tag}_m.f32"), size),
+            load_param_file(os.path.join(path, f"adam_{tag}_v.f32"), size),
+            steps[tag])
+    rng = np.random.Generator(np.random.PCG64())
     try:
         with open(os.path.join(path, "rng.json"), "r", encoding="utf-8") as fh:
-            rng_state = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            rng.bit_generator.state = json.load(fh)
+    except (OSError, ValueError, TypeError, KeyError) as exc:
         raise CheckpointError(f"{path}: bad rng state: {exc}") from exc
-    return CheckpointState(cfg, cfg_hash, iteration, l1_ref, params_d,
-                           params_v, adam["d"], adam["v"], rng_state)
+    return TrainState(cfg, iteration, params["d"], params["v"], adam["d"],
+                      adam["v"], rng, warm_l1)
 
 
 # ---------------------------------------------------------------------------
@@ -357,21 +359,24 @@ def checkpoint_load(path) -> CheckpointState:
 
 @dataclass
 class TrainResult:
-    config: TrainConfig
+    """The stepped run state plus what ``train`` built around it."""
+
+    state: TrainState
     schedule: NoiseSchedule
     dnet: DiffusionNet
     vnet: ValueNet
-    params_d: ParamSet
-    params_v: ParamSet
-    adam_d: AdamState
-    adam_v: AdamState
-    telemetry: list
-    l1_ref: float
-    iteration: int
-    rng: np.random.Generator
+    telemetry: list            # rows of the iterations this call ran
+
+    config = property(lambda self: self.state.config)
+    iteration = property(lambda self: self.state.iteration)
+    params_d = property(lambda self: self.state.params_d)
+    params_v = property(lambda self: self.state.params_v)
 
 
-def _corpus_matrices(corpus: list[SignalPair]):
+def run_inputs(cfg: TrainConfig, corpus: list[SignalPair]):
+    """The chain, the stacked clean and degraded signals, and the reward
+    metric of a run; a bad chain, corpus or metric raises here."""
+    sched = build_schedule(cfg.steps, cfg.beta_min, cfg.beta_max)
     if not corpus:
         raise DataError("empty training corpus")
     length = corpus[0].x0.size
@@ -383,64 +388,57 @@ def _corpus_matrices(corpus: list[SignalPair]):
             raise DataError("training corpus must share one sample rate")
     x0 = np.stack([p.x0 for p in corpus]).astype(np.float32)
     y = np.stack([p.y for p in corpus]).astype(np.float32)
-    return x0, y, rate
+    return sched, x0, y, resolve_metric(cfg, rate)
 
 
 def train(cfg: TrainConfig, corpus: list[SignalPair], out_dir=None,
-          resume: CheckpointState | str | None = None,
+          resume: TrainState | str | os.PathLike | None = None,
           checkpoint_every: int = 0, iter_callback=None) -> TrainResult:
-    """Run (or continue) a training run; returns the final state.
+    """Run a training run, or continue ``resume`` (a state or a checkpoint
+    directory), to ``cfg.n_total`` iterations; the state is stepped in place.
 
     With ``out_dir`` set, telemetry is streamed to ``telemetry.csv`` there
-    and a final checkpoint is written to ``out_dir/checkpoint``.  Resuming
-    appends telemetry rows for the iterations it actually runs.
+    and the state is checkpointed to ``out_dir/checkpoint`` every
+    ``checkpoint_every`` iterations and at the end.  Resuming appends
+    telemetry rows for the iterations it actually runs.
     """
-    sched = build_schedule(cfg.steps, cfg.beta_min, cfg.beta_max)
+    sched, x0mat, ymat, metric = run_inputs(cfg, corpus)
     dnet, vnet = build_nets(cfg)
-    x0mat, ymat, rate = _corpus_matrices(corpus)
-    metric = resolve_metric(cfg, rate)
     n_utt, length = x0mat.shape
 
-    if isinstance(resume, str):
-        resume = checkpoint_load(resume)
-    if resume is not None:
-        if resume.config_hash != config_hash(cfg):
-            raise CheckpointError(
-                "checkpoint was produced by a different config "
-                f"({resume.config_hash} != {config_hash(cfg)})")
-        if resume.params_d.manifest != dnet.manifest or \
-                resume.params_v.manifest != vnet.manifest:
-            raise CheckpointError("checkpoint layer manifest does not match "
-                                  "the configured networks")
-        params_d, params_v = resume.params_d, resume.params_v
-        adam_d, adam_v = resume.adam_d, resume.adam_v
-        rng = np.random.Generator(np.random.PCG64())
-        rng.bit_generator.state = resume.rng_state
-        start = resume.iteration
-        l1_ref = resume.l1_ref
-    else:
+    if resume is None:
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
         params_d = dnet.init_params(rng)
         params_v = vnet.init_params(rng)
-        adam_d = AdamState.fresh(params_d)
-        adam_v = AdamState.fresh(params_v)
-        start = 0
-        l1_ref = math.nan
+        state = TrainState(cfg, 0, params_d, params_v,
+                           AdamState.fresh(params_d),
+                           AdamState.fresh(params_v), rng, [])
+    else:
+        state = resume if isinstance(resume, TrainState) \
+            else checkpoint_load(resume)
+        if config_hash(state.config) != config_hash(cfg):
+            raise CheckpointError(
+                "checkpoint was produced by a different config "
+                f"({config_hash(state.config)} != {config_hash(cfg)})")
+        if state.params_d.manifest != dnet.manifest or \
+                state.params_v.manifest != vnet.manifest:
+            raise CheckpointError("checkpoint layer manifest does not match "
+                                  "the configured networks")
 
     telemetry = []
-    tele_path = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         tele_path = os.path.join(str(out_dir), "telemetry.csv")
-        if start == 0 or not os.path.exists(tele_path):
+        ckpt_path = os.path.join(str(out_dir), "checkpoint")
+        if state.iteration == 0 or not os.path.exists(tele_path):
             write_telemetry_csv(tele_path, [])
         else:
-            _truncate_telemetry(tele_path, start)
-    guard_window = min(20, cfg.n_total)
-    warm_l1 = []
+            _truncate_telemetry(tele_path, state.iteration)
     flushed = 0
+    rng = state.rng
+    l1_ref = state.l1_ref  # fixed once the warm-up window is complete
 
-    for i in range(start + 1, cfg.n_total + 1):
+    for i in range(state.iteration + 1, cfg.n_total + 1):
         # fixed draw order per iteration: utterances, noise, steps
         idx = rng.integers(0, n_utt, size=cfg.batch)
         eps = rng.standard_normal((cfg.batch, length)).astype(np.float32)
@@ -455,59 +453,51 @@ def train(cfg: TrainConfig, corpus: list[SignalPair], out_dir=None,
         lr_d = cfg.lr_d if phase1 else cfg.lr_d_joint
 
         if not joint:
-            pred = dnet.forward(params_d, x_t, yb, t_arr, params_tracked=True)
+            pred = dnet.forward(state.params_d, x_t, yb, t_arr,
+                                params_tracked=True)
             l1_t = ad.mean_all(ad.abs_(ad.sub(pred, ad.const(target))))
             ad.backward(l1_t)
-            dnet.accumulate_grads(params_d)
-            adam_step(params_d, adam_d, lr_d)
+            dnet.accumulate_grads(state.params_d)
+            adam_step(state.params_d, state.adam_d, lr_d)
             row = TelemetryRow(i, 1 if phase1 else 2, float(l1_t.value),
                                math.nan, math.nan, math.nan, math.nan)
         else:
-            row = _joint_update(cfg, sched, dnet, vnet, params_d, params_v,
-                                adam_d, adam_v, metric, x_t, yb, xb0, t_arr,
-                                target, lr_d, i)
+            row = _joint_update(state, sched, dnet, vnet, metric, x_t, yb,
+                                xb0, t_arr, target, lr_d, i)
+        state.iteration = i
 
         telemetry.append(row)
         if not math.isfinite(row.l1):
             raise DivergenceError(f"iteration {i}: non-finite loss")
-        if i <= guard_window:
-            warm_l1.append(row.l1)
-            if i == guard_window and math.isnan(l1_ref):
-                l1_ref = float(np.mean(warm_l1))
-        elif math.isfinite(l1_ref) and row.l1 > 10.0 * l1_ref:
+        if i <= _GUARD_WINDOW:
+            state.warm_l1.append(row.l1)
+            l1_ref = state.l1_ref
+        elif row.l1 > 10.0 * l1_ref:
             raise DivergenceError(
                 f"iteration {i}: regression loss {row.l1:.6g} exceeded 10x "
                 f"its early-run level {l1_ref:.6g}")
         if iter_callback is not None:
-            iter_callback(i, params_d, params_v)
-        if tele_path is not None and (i % 200 == 0 or i == cfg.n_total):
+            iter_callback(i, state.params_d, state.params_v)
+        if out_dir is None:
+            continue
+        save = checkpoint_every and i % checkpoint_every == 0 \
+            and i < cfg.n_total
+        # flush before saving, so the file never lags the checkpoint
+        if save or i % 200 == 0 or i == cfg.n_total:
             write_telemetry_csv(tele_path, telemetry[flushed:], append=True)
             flushed = len(telemetry)
-        if checkpoint_every and out_dir is not None \
-                and i % checkpoint_every == 0 and i < cfg.n_total:
-            # flush first so the file never lags the checkpoint iteration
-            if tele_path is not None and flushed < len(telemetry):
-                write_telemetry_csv(tele_path, telemetry[flushed:],
-                                    append=True)
-                flushed = len(telemetry)
-            checkpoint_save(os.path.join(str(out_dir), "checkpoint"), cfg, i,
-                            params_d, params_v, adam_d, adam_v, rng, l1_ref,
-                            dnet, vnet)
-
+        if save:
+            checkpoint_save(ckpt_path, state)
     if out_dir is not None:
-        if flushed < len(telemetry):
-            write_telemetry_csv(tele_path, telemetry[flushed:], append=True)
-        checkpoint_save(os.path.join(str(out_dir), "checkpoint"), cfg,
-                        cfg.n_total, params_d, params_v, adam_d, adam_v, rng,
-                        l1_ref, dnet, vnet)
-    return TrainResult(cfg, sched, dnet, vnet, params_d, params_v, adam_d,
-                       adam_v, telemetry, l1_ref, cfg.n_total, rng)
+        checkpoint_save(ckpt_path, state)
+    return TrainResult(state, sched, dnet, vnet, telemetry)
 
 
-def _joint_update(cfg, sched, dnet, vnet, params_d, params_v, adam_d, adam_v,
-                  metric, x_t, yb, xb0, t_arr, target, lr_d,
-                  i) -> TelemetryRow:
+def _joint_update(state: TrainState, sched, dnet, vnet, metric, x_t, yb, xb0,
+                  t_arr, target, lr_d, i) -> TelemetryRow:
     """One phase-2 iteration: actor-augmented enhancer update + scorer update."""
+    cfg = state.config
+    params_d, params_v = state.params_d, state.params_v
     t_emb = t_arr.astype(np.float64)
 
     pred = dnet.forward(params_d, x_t, yb, t_emb, params_tracked=True)
@@ -519,7 +509,7 @@ def _joint_update(cfg, sched, dnet, vnet, params_d, params_v, adam_d, adam_v,
         loss = ad.add(l1_t, ad.scale(l2_t, cfg.alpha))
         ad.backward(loss)
         dnet.accumulate_grads(params_d)
-        adam_step(params_d, adam_d, lr_d)
+        adam_step(params_d, state.adam_d, lr_d)
         return float(l1_t.value), float(l2_t.value)
 
     def update_v():
@@ -531,7 +521,7 @@ def _joint_update(cfg, sched, dnet, vnet, params_d, params_v, adam_d, adam_v,
                                t=t_emb)
         ad.backward(l3_t)
         vnet.accumulate_grads(params_v)
-        adam_step(params_v, adam_v, cfg.lr_v)
+        adam_step(params_v, state.adam_v, cfg.lr_v)
         return float(l3_t.value), float(np.mean(rew)), float(np.mean(targets))
 
     if cfg.update_v_first:

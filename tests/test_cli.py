@@ -213,6 +213,19 @@ def test_exit_code_3_on_missing_data(work, tmp_path):
     assert rc == 3
 
 
+def test_refused_corpus_leaves_out_empty(tmp_path):
+    from dataclasses import replace
+
+    from mose import synth_corpus, write_corpus
+    pairs = synth_corpus(1, 2, 128, [0.0], split="train")
+    pairs += [replace(p, id=f"long-{p.id}")
+              for p in synth_corpus(2, 2, 256, [0.0], split="train")]
+    manifest = write_corpus(pairs, str(tmp_path / "mixed"))
+    out = tmp_path / "o"
+    assert main(["train", "--data", str(manifest), "--out", str(out)]) == 3
+    assert not out.exists() or not os.listdir(out)
+
+
 def test_exit_code_4_on_divergence(work, tmp_path):
     cfg = tmp_path / "explode.cfg"
     cfg.write_text(MICRO_CFG.replace("n_total = 12", "n_total = 80")
@@ -235,9 +248,10 @@ def test_exit_code_2_on_bad_arguments(work, tmp_path, argv, ckpt):
         rest += ["--ckpt", str(work["ckpt_m"])]
     else:
         rest += ["--config", str(work["root"] / "metric.cfg")]
-    rc = main([cmd, *rest, "--data", str(work["manifest"]),
-               "--out", str(tmp_path / "o")])
-    assert rc == 2
+    tail = ["--data", str(work["manifest"]), "--out", str(tmp_path / "o")]
+    assert main([cmd, *rest, *tail]) == 2
+    # the refusal left --out reusable: the fixed command needs no --force
+    assert main([cmd, *rest[2:], *tail]) == 0
 
 
 def test_exit_code_5_on_failed_selfcheck(monkeypatch, capsys):

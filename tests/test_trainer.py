@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -145,6 +146,21 @@ def test_telemetry_round_trip(tmp_path):
         read_telemetry_csv(tmp_path / "h.csv")
 
 
+def test_resume_truncation_drops_stale_and_torn_rows(tmp_path):
+    rows = [TelemetryRow(i, 1, 1.0 / i, math.nan, math.nan, math.nan,
+                         math.nan) for i in range(1, 6)]
+    path = tmp_path / "t.csv"
+    write_telemetry_csv(path, rows)
+    text = path.read_text()
+    # a write cut short: too few fields, a cut field, a cut iteration
+    for torn in ("6,1,0.25", "6,1,0.2,na", "6"):
+        path.write_text(text + torn)
+        trainer._truncate_telemetry(path, 5)
+        assert path.read_text() == text
+    trainer._truncate_telemetry(path, 3)
+    assert rows_equal(read_telemetry_csv(path), rows[:3])
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
@@ -243,38 +259,64 @@ def test_corpus_validation():
 # ---------------------------------------------------------------------------
 # checkpoint and resume
 
-def test_interrupted_resume_is_bit_identical(tmp_path, corpus):
-    from dataclasses import replace
-    cfg = replace(MICRO, n_total=24, n_th=12)
+class Stop(Exception):
+    pass
+
+
+def interrupt_and_resume(tmp_path, corpus, cfg, every, kill, in_memory):
+    """Train straight, then kill a run checkpointing every ``every``
+    iterations at iteration ``kill`` and resume it from its checkpoint
+    (loaded first when ``in_memory``); both must write the same bytes."""
     dir_a = tmp_path / "straight"
     dir_b = tmp_path / "interrupted"
-
     ref = train(cfg, corpus, out_dir=dir_a)
 
-    class Stop(Exception):
-        pass
-
     def bomb(i, pd, pv):
-        if i == 15:
+        if i == kill:
             raise Stop()
 
     with pytest.raises(Stop):
-        train(cfg, corpus, out_dir=dir_b, checkpoint_every=10,
+        train(cfg, corpus, out_dir=dir_b, checkpoint_every=every,
               iter_callback=bomb)
-    # the kill point sits past the checkpoint: rows 11..15 were never flushed
-    assert read_telemetry_csv(dir_b / "telemetry.csv")[-1].iter == 10
-
-    res = train(cfg, corpus, out_dir=dir_b,
-                resume=str(dir_b / "checkpoint"))
+    # the kill point sits past the checkpoint: those rows were never flushed
+    last = kill - kill % every
+    assert read_telemetry_csv(dir_b / "telemetry.csv")[-1].iter == last
+    resume = str(dir_b / "checkpoint")
+    if in_memory:
+        resume = checkpoint_load(resume)
+        assert resume.iteration == last
+    res = train(cfg, corpus, out_dir=dir_b, resume=resume)
     assert res.iteration == cfg.n_total
     assert np.array_equal(res.params_d.flat, ref.params_d.flat)
     assert np.array_equal(res.params_v.flat, ref.params_v.flat)
     text_a = (dir_a / "telemetry.csv").read_text()
     text_b = (dir_b / "telemetry.csv").read_text()
     assert text_a == text_b
-    ck_a = (dir_a / "checkpoint" / "theta_d.f32").read_bytes()
-    ck_b = (dir_b / "checkpoint" / "theta_d.f32").read_bytes()
-    assert ck_a == ck_b
+    names = sorted(os.listdir(dir_a / "checkpoint"))
+    assert names == sorted(os.listdir(dir_b / "checkpoint"))
+    for name in names:
+        ck_a = (dir_a / "checkpoint" / name).read_bytes()
+        ck_b = (dir_b / "checkpoint" / name).read_bytes()
+        assert ck_a == ck_b, name
+    assert res.state.l1_ref == ref.state.l1_ref
+    if in_memory:
+        assert res.state is resume
+
+
+def test_interrupted_resume_is_bit_identical(tmp_path, corpus):
+    # resumed at iteration 10, inside the guard's 20-iteration warm-up
+    from dataclasses import replace
+    cfg = replace(MICRO, n_total=24, n_th=12)
+    interrupt_and_resume(tmp_path, corpus, cfg, every=10, kill=15,
+                         in_memory=False)
+
+
+def test_resume_past_the_guard_window_is_bit_identical(tmp_path, corpus):
+    # resumed at iteration 22, after the warm-up, from a loaded state
+    from dataclasses import replace
+    cfg = replace(MICRO, n_total=30, n_th=12)
+    interrupt_and_resume(tmp_path, corpus, cfg, every=11, kill=25,
+                         in_memory=True)
 
 
 def test_resume_rejects_other_config(tmp_path, corpus):
@@ -307,6 +349,21 @@ def test_checkpoint_corruption_detected(tmp_path, corpus):
     man = (ck / "manifest.txt").read_text()
     (ck / "manifest.txt").write_text(man.replace("format = ", "format = x"))
     with pytest.raises(CheckpointError, match="format"):
+        checkpoint_load(str(ck))
+
+    # a format-1 manifest: l1_ref instead of the warm-up losses, and
+    # "param d name dims" lines without " = "
+    v1 = man.replace("mose-checkpoint-2", "mose-checkpoint-1")
+    v1 = re.sub(r"warm_l1 = .*", "l1_ref = 0.25", v1)
+    v1 = re.sub(r"(param \S+ \S+) = ", r"\1 ", v1)
+    (ck / "manifest.txt").write_text(v1)
+    with pytest.raises(CheckpointError, match="unknown format"):
+        checkpoint_load(str(ck))
+
+    # too few warm-up losses for the iteration would weaken the guard
+    (ck / "manifest.txt").write_text(re.sub(r"(warm_l1 = \S+) .*", r"\1",
+                                            man))
+    with pytest.raises(CheckpointError, match="warm-up losses"):
         checkpoint_load(str(ck))
 
 
