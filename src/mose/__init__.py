@@ -15,7 +15,7 @@ from .errors import (AlignmentError, CheckpointError, ConfigError, DataError,
 from .metric import (MetricSpec, external_metric, get_metric, neg_mse,
                      register_metric, seg_snr, si_snr)
 from .nets import (AdamState, DiffusionNet, ParamSet, StepEmbedding,
-                   ValueNet, adam_step, load_param_file, save_param_file)
+                   ValueNet, adam_step)
 from .rl import actor_loss, bellman_loss, critic_target, reward
 from .schedule import (build_schedule, dump_table, interpolation_weight,
                        schedule_from_betas)
@@ -35,9 +35,9 @@ __all__ = [
     "adam_step", "align_inference_steps", "alpha_sweep", "bellman_loss",
     "build_schedule", "critic_target", "default_fast_schedule", "dump_table",
     "enhance", "external_metric", "fast_sample", "forward_sample_batch",
-    "get_metric", "interpolation_weight", "load_corpus", "load_param_file",
+    "get_metric", "interpolation_weight", "load_corpus",
     "mismatch_experiment", "mix_at_snr", "neg_mse",
-    "register_metric", "reverse_mean_batch", "reward", "save_param_file",
+    "register_metric", "reverse_mean_batch", "reward",
     "schedule_from_betas", "seg_snr", "si_snr", "synth_corpus",
     "target_noise_batch", "train", "wav_read", "wav_write", "write_corpus",
     "write_sweep_csv",

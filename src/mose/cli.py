@@ -149,8 +149,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model(ckpt_dir: str):
-    st = checkpoint_load(ckpt_dir)
+def _load_model(ckpt_path: str):
+    st = checkpoint_load(ckpt_path)
     sched = build_schedule(st.config.steps, st.config.beta_min,
                            st.config.beta_max)
     return st, build_dnet(st.config), sched
@@ -204,14 +204,15 @@ def cmd_eval(args) -> int:
     split = [p for p in corpus if p.split == args.split] or corpus
     metric_names = [m for m in args.metric.split(",") if m]
     metrics = [get_metric(m) for m in metric_names]
-    fast = _parse_fast_schedule(args.fast_schedule) \
+    given = _parse_fast_schedule(args.fast_schedule) \
         if args.fast_schedule else None
     reports = {}
     last_cfg = None
     for ckpt in args.ckpt:
         st, dnet, sched = _load_model(ckpt)
         last_cfg = st.config
-        if fast is None and args.fast_steps:
+        fast = given
+        if fast is None and args.fast_steps:  # a ladder for this chain
             fast = default_fast_schedule(sched, args.fast_steps)
         rep = evaluate(dnet, st.params_d, split, metrics, sched,
                        sampler="fast" if fast is not None else "full",
@@ -305,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float)
     p.add_argument("--steps", type=int)
     p.add_argument("--metric")
-    p.add_argument("--resume", help="checkpoint directory to continue from")
+    p.add_argument("--resume", help="checkpoint file to continue from")
     p.add_argument("--checkpoint-every", type=int, default=0)
     p.add_argument("--dump-schedule", action="store_true")
     p.add_argument("--force", action="store_true")

@@ -34,7 +34,7 @@ class DivergenceError(MoseError):
 
 
 class CheckpointError(MoseError):
-    """A checkpoint directory that is missing, corrupt, or incompatible."""
+    """A checkpoint file that is missing, corrupt, or incompatible."""
 
 
 class CheckFailure(MoseError):

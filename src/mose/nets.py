@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import CheckpointError, DivergenceError
+from .errors import DivergenceError
 
 
 class StepEmbedding:
@@ -293,23 +293,3 @@ def adam_step(params: ParamSet, state: AdamState, lr: float,
     params.flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
     params.zero_grad()
     return params
-
-
-def save_param_file(path, params: ParamSet) -> None:
-    """Raw little-endian float32 dump of the flat vector."""
-    if params.dtype != np.float32:
-        raise CheckpointError("checkpoint format stores float32 parameters; "
-                              f"got {params.dtype}")
-    params.flat.astype("<f4", copy=False).tofile(str(path))
-
-
-def load_param_file(path, expected_size: int) -> np.ndarray:
-    try:
-        flat = np.fromfile(str(path), dtype="<f4")
-    except OSError as exc:
-        raise CheckpointError(f"cannot read parameter file {path}: {exc}") \
-            from exc
-    if flat.size != expected_size:
-        raise CheckpointError(f"{path}: holds {flat.size} values, manifest "
-                              f"says {expected_size}")
-    return flat

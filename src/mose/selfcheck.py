@@ -25,7 +25,7 @@ from .nets import DiffusionNet, ValueNet
 from .rl import actor_loss, bellman_loss, reward
 from .schedule import NoiseSchedule, build_schedule
 from .signals import synth_corpus
-from .trainer import TrainConfig, parse_config_file, read_telemetry_csv, train
+from .trainer import TrainConfig, checkpoint_load, read_telemetry_csv, train
 
 
 def c1_schedule_invariants(sched: NoiseSchedule) -> bool:
@@ -296,10 +296,10 @@ class _Stop(Exception):
 
 def c9_replay_and_resume(work_dir) -> tuple[bool, list[bool], int]:
     """Trains ``C9_CONFIG`` into ``work_dir`` three ways: straight, replayed
-    from the stored config text, and interrupted at iteration 15 then
-    resumed from the periodic checkpoint.  Returns (whether the interruption
-    fired, byte equality of telemetry.csv, theta_d.f32, theta_v.f32 and
-    manifest.txt across the three, telemetry rows of the straight run)."""
+    from the config stored in its checkpoint, and interrupted at iteration
+    15 then resumed from the periodic checkpoint.  Returns (whether the
+    interruption fired, byte equality of telemetry.csv and of the checkpoint
+    file across the three, telemetry rows of the straight run)."""
     cfg = C9_CONFIG
     corpus = synth_corpus(seed=21, n_utterances=4, length=256,
                           snr_levels=[0.0, 10.0])
@@ -307,9 +307,8 @@ def c9_replay_and_resume(work_dir) -> tuple[bool, list[bool], int]:
     dir_a = os.path.join(work_dir, "a")
     train(cfg, corpus, out_dir=dir_a)
 
-    # replay from the stored config text alone
-    cfg_replay = parse_config_file(
-        os.path.join(dir_a, "checkpoint", "config.txt"))
+    # replay from the stored config alone
+    cfg_replay = checkpoint_load(os.path.join(dir_a, "checkpoint")).config
     dir_b = os.path.join(work_dir, "b")
     train(cfg_replay, corpus, out_dir=dir_b)
 
@@ -333,12 +332,8 @@ def c9_replay_and_resume(work_dir) -> tuple[bool, list[bool], int]:
         with open(os.path.join(d, name), "rb") as fh:
             return fh.read()
 
-    same = []
-    for name in ("telemetry.csv", os.path.join("checkpoint", "theta_d.f32"),
-                 os.path.join("checkpoint", "theta_v.f32"),
-                 os.path.join("checkpoint", "manifest.txt")):
-        same.append(blob(dir_a, name) == blob(dir_b, name)
-                    and blob(dir_a, name) == blob(dir_c, name))
+    same = [blob(dir_a, name) == blob(dir_b, name) == blob(dir_c, name)
+            for name in ("telemetry.csv", "checkpoint")]
     rows = read_telemetry_csv(os.path.join(dir_a, "telemetry.csv"))
     return interrupted, same, len(rows)
 

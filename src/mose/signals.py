@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 import wave
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,8 +161,16 @@ def wav_read(path) -> tuple[np.ndarray, int]:
     return samples, rate
 
 
+def _check_unique_ids(pairs, where) -> None:
+    """Ids name a pair's WAV files, so a repeated id would overwrite one."""
+    repeated = [k for k, n in Counter(p.id for p in pairs).items() if n > 1]
+    if repeated:
+        raise DataError(f"{where}: repeated corpus ids {repeated}")
+
+
 def write_corpus(pairs: list[SignalPair], out_dir) -> str:
     """Materialise a corpus as WAV pairs plus a manifest; returns its path."""
+    _check_unique_ids(pairs, out_dir)
     os.makedirs(out_dir, exist_ok=True)
     manifest = os.path.join(str(out_dir), "manifest.tsv")
     lines = ["id\tclean\tnoisy\tsnr_db\tsplit"]
@@ -204,4 +213,5 @@ def load_corpus(manifest_path) -> list[SignalPair]:
         pairs.append(SignalPair(clean, noisy, rate_c, pid,
                                 snr_db=None if math.isnan(snr) else snr,
                                 split=split))
+    _check_unique_ids(pairs, manifest_path)
     return pairs

@@ -12,6 +12,8 @@ Adam states, the generator and the divergence guard's warm-up losses.
 ``train`` starts a fresh state or resumes a given one, steps it in place and
 returns it; ``checkpoint_save`` writes all of it and ``checkpoint_load``
 reads it back, so a resumed run writes the same bytes as the straight one.
+A checkpoint is one sha256-checked file, synced and renamed over the old
+one, so a crash mid-save leaves the previous checkpoint whole.
 """
 
 from __future__ import annotations
@@ -32,12 +34,11 @@ from .diffusion import (enhance, fast_sample, forward_sample_batch,
                         reverse_mean_batch, target_noise_batch)
 from .errors import CheckpointError, ConfigError, DataError, DivergenceError
 from .metric import MetricSpec, external_metric, get_metric
-from .nets import (AdamState, DiffusionNet, ParamSet, ValueNet, adam_step,
-                   load_param_file, save_param_file)
+from .nets import AdamState, DiffusionNet, ParamSet, ValueNet, adam_step
 from .schedule import NoiseSchedule, build_schedule
 from .signals import SignalPair
 
-_CKPT_FORMAT = "mose-checkpoint-2"
+_CKPT_FORMAT = "mose-checkpoint-3"
 
 
 @dataclass(frozen=True)
@@ -139,27 +140,28 @@ def config_from_mapping(mapping: dict, base: TrainConfig | None = None) -> Train
     return replace(base, **updates)
 
 
-def _key_values(path, error):
-    """Yield the (key, value) pairs of a flat ``key = value`` file with #
-    comments, in file order; problems raise ``error``."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise error(f"cannot read {path}: {exc}") from exc
+def _key_values(lines, source, error):
+    """Yield the (key, value) pairs of flat ``key = value`` lines with #
+    comments, in order; a malformed line raises ``error``."""
     for i, ln in enumerate(lines, 1):
         s = ln.strip()
         if not s or s.startswith("#"):
             continue
         if "=" not in s:
-            raise error(f"{path}:{i}: expected 'key = value', got {ln!r}")
+            raise error(f"{source}:{i}: expected 'key = value', got {ln!r}")
         key, _, val = s.partition("=")
         yield key.strip(), val.strip()
 
 
 def parse_config_file(path, base: TrainConfig | None = None) -> TrainConfig:
     """Read a flat ``key = value`` config file with # comments."""
-    return config_from_mapping(dict(_key_values(path, ConfigError)), base)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    return config_from_mapping(dict(_key_values(lines, path, ConfigError)),
+                               base)
 
 
 def config_hash(cfg: TrainConfig) -> str:
@@ -280,76 +282,78 @@ class TrainState:
 
 
 def checkpoint_save(path, state: TrainState) -> None:
-    os.makedirs(path, exist_ok=True)
-    save_param_file(os.path.join(path, "theta_d.f32"), state.params_d)
-    save_param_file(os.path.join(path, "theta_v.f32"), state.params_v)
-    for tag, st in (("d", state.adam_d), ("v", state.adam_v)):
-        st.m.astype("<f4", copy=False).tofile(
-            os.path.join(path, f"adam_{tag}_m.f32"))
-        st.v.astype("<f4", copy=False).tofile(
-            os.path.join(path, f"adam_{tag}_v.f32"))
-    with open(os.path.join(path, "rng.json"), "w", encoding="utf-8") as fh:
-        json.dump(state.rng.bit_generator.state, fh)
-    with open(os.path.join(path, "config.txt"), "w", encoding="utf-8") as fh:
-        fh.write(config_to_text(state.config))
-    lines = [f"format = {_CKPT_FORMAT}",
-             f"config_hash = {config_hash(state.config)}",
-             f"iteration = {state.iteration}",
+    """Write ``state`` to the file ``path`` through a synced sibling temp
+    file renamed over it, so ``path`` is always a whole checkpoint."""
+    lines = [f"iteration = {state.iteration}",
              f"adam_d_step = {state.adam_d.step}",
              f"adam_v_step = {state.adam_v.step}",
-             "warm_l1 = " + " ".join(repr(v) for v in state.warm_l1)]
-    for tag, params in (("d", state.params_d), ("v", state.params_v)):
-        for name, shape in params.manifest:
-            lines.append(f"param {tag} {name} = "
-                         + " ".join(str(d) for d in shape))
-    with open(os.path.join(path, "manifest.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+             "warm_l1 = " + " ".join(repr(v) for v in state.warm_l1),
+             "rng = " + json.dumps(state.rng.bit_generator.state),
+             config_to_text(state.config).rstrip("\n")]
+    arrays = []
+    for tag, params, adam in (("d", state.params_d, state.adam_d),
+                              ("v", state.params_v, state.adam_v)):
+        if params.dtype != np.float32:
+            raise CheckpointError("checkpoint format stores float32 "
+                                  f"parameters; got {params.dtype}")
+        lines += [f"param {tag} {name} = " + " ".join(str(d) for d in shape)
+                  for name, shape in params.manifest]
+        arrays += [params.flat, adam.m, adam.v]
+    body = ("\n".join(lines) + "\n\n").encode() + b"".join(
+        a.astype("<f4", copy=False).tobytes() for a in arrays)
+    tmp = os.fspath(path) + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(f"format = {_CKPT_FORMAT}\n"
+                 f"sha256 = {hashlib.sha256(body).hexdigest()}\n".encode()
+                 + body)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 def checkpoint_load(path) -> TrainState:
-    mpath = os.path.join(path, "manifest.txt")
-    pairs = _key_values(mpath, CheckpointError)
-    head = next(pairs, None)  # read on only if the format is known
-    if head != ("format", _CKPT_FORMAT):
-        raise CheckpointError(f"{mpath}: unknown format {head!r}; this "
+    """Read a checkpoint file; its format line and digest are checked
+    before anything in it is parsed."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path} (this version "
+                              f"reads a {_CKPT_FORMAT} file): {exc}") from exc
+    head, _, rest = blob.partition(b"\n")
+    if head != f"format = {_CKPT_FORMAT}".encode():
+        raise CheckpointError(f"{path}: unknown format {head[:40]!r}; this "
                               f"version reads {_CKPT_FORMAT!r}")
-    kv = dict(pairs)
-    manifests = {"d": [], "v": []}
+    digest, _, body = rest.partition(b"\n")
+    if digest != f"sha256 = {hashlib.sha256(body).hexdigest()}".encode():
+        raise CheckpointError(f"{path}: contents do not match the recorded "
+                              f"sha256 (torn or edited file)")
+    header, _, payload = body.partition(b"\n\n")
+    params, adam, off = {}, {}, 0
     try:
-        for key, val in kv.items():
-            if key.startswith("param "):
-                _, tag, name = key.split()
-                manifests[tag].append(
-                    (name, tuple(int(x) for x in val.split())))
-        iteration = int(kv["iteration"])
-        steps = {"d": int(kv["adam_d_step"]), "v": int(kv["adam_v_step"])}
-        warm_l1 = [float(x) for x in kv["warm_l1"].split()]
-        cfg_hash = kv["config_hash"]
-    except (KeyError, ValueError) as exc:
-        raise CheckpointError(f"{mpath}: missing or malformed field: {exc}") \
+        kv = dict(_key_values(header.decode().splitlines(), path,
+                              CheckpointError))
+        iteration = int(kv.pop("iteration"))
+        warm_l1 = [float(x) for x in kv.pop("warm_l1").split()]
+        rng = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = json.loads(kv.pop("rng"))
+        for tag in ("d", "v"):  # each net's parameters, Adam m, Adam v
+            manifest = [(key.split()[2],
+                         tuple(int(x) for x in kv.pop(key).split()))
+                        for key in list(kv) if key.startswith(f"param {tag} ")]
+            n = sum(int(np.prod(s)) for _, s in manifest)
+            theta, m, v = (np.frombuffer(payload, "<f4", n, off + 4 * n * k)
+                           .copy() for k in range(3))
+            off += 12 * n
+            params[tag] = ParamSet(manifest, theta)
+            adam[tag] = AdamState(m, v, int(kv.pop(f"adam_{tag}_step")))
+        cfg = config_from_mapping(kv)
+    except (KeyError, ValueError, TypeError, ConfigError) as exc:
+        raise CheckpointError(f"{path}: missing or malformed field: {exc}") \
             from exc
-    cfg = parse_config_file(os.path.join(path, "config.txt"))
-    if config_hash(cfg) != cfg_hash:
-        raise CheckpointError(f"{path}: config.txt does not match the "
-                              f"recorded config hash")
     if len(warm_l1) != min(iteration, _GUARD_WINDOW):
-        raise CheckpointError(f"{mpath}: {len(warm_l1)} warm-up losses at "
+        raise CheckpointError(f"{path}: {len(warm_l1)} warm-up losses at "
                               f"iteration {iteration}")
-    params, adam = {}, {}
-    for tag, manifest in manifests.items():
-        size = sum(int(np.prod(s)) for _, s in manifest)
-        params[tag] = ParamSet(manifest, load_param_file(
-            os.path.join(path, f"theta_{tag}.f32"), size))
-        adam[tag] = AdamState(
-            load_param_file(os.path.join(path, f"adam_{tag}_m.f32"), size),
-            load_param_file(os.path.join(path, f"adam_{tag}_v.f32"), size),
-            steps[tag])
-    rng = np.random.Generator(np.random.PCG64())
-    try:
-        with open(os.path.join(path, "rng.json"), "r", encoding="utf-8") as fh:
-            rng.bit_generator.state = json.load(fh)
-    except (OSError, ValueError, TypeError, KeyError) as exc:
-        raise CheckpointError(f"{path}: bad rng state: {exc}") from exc
     return TrainState(cfg, iteration, params["d"], params["v"], adam["d"],
                       adam["v"], rng, warm_l1)
 
@@ -395,7 +399,7 @@ def train(cfg: TrainConfig, corpus: list[SignalPair], out_dir=None,
           resume: TrainState | str | os.PathLike | None = None,
           checkpoint_every: int = 0, iter_callback=None) -> TrainResult:
     """Run a training run, or continue ``resume`` (a state or a checkpoint
-    directory), to ``cfg.n_total`` iterations; the state is stepped in place.
+    file), to ``cfg.n_total`` iterations; the state is stepped in place.
 
     With ``out_dir`` set, telemetry is streamed to ``telemetry.csv`` there
     and the state is checkpointed to ``out_dir/checkpoint`` every
@@ -430,6 +434,9 @@ def train(cfg: TrainConfig, corpus: list[SignalPair], out_dir=None,
         os.makedirs(out_dir, exist_ok=True)
         tele_path = os.path.join(str(out_dir), "telemetry.csv")
         ckpt_path = os.path.join(str(out_dir), "checkpoint")
+        if os.path.isdir(ckpt_path):  # format 2; os.replace cannot swap it
+            raise CheckpointError(f"{ckpt_path} is a directory, not a "
+                                  f"{_CKPT_FORMAT} file; remove it")
         if state.iteration == 0 or not os.path.exists(tele_path):
             write_telemetry_csv(tele_path, [])
         else:

@@ -66,7 +66,9 @@ def test_train_outputs(work):
     run = work["run_e"]
     assert (run / "telemetry.csv").exists()
     assert (run / "schedule.tsv").exists()
-    assert (run / "checkpoint" / "manifest.txt").exists()
+    assert (run / "checkpoint").is_file()
+    assert sorted(os.listdir(run)) == ["checkpoint", "run_manifest.txt",
+                                       "schedule.tsv", "telemetry.csv"]
     text = (run / "run_manifest.txt").read_text()
     assert "command = train" in text and "config_hash = " in text
     assert "elbo_only = true" in text
@@ -161,6 +163,36 @@ def test_eval_fast_ladder(work, tmp_path):
     assert (out / "comparison.csv").exists()
 
 
+def test_eval_fast_ladder_follows_each_checkpoint(work, tmp_path):
+    # a second chain, longer and with other betas: each checkpoint's
+    # --fast-steps ladder is its own, whichever checkpoint comes first
+    run = tmp_path / "run_long"
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(MICRO_CFG.replace("n_total = 12", "n_total = 4")
+                   .replace("n_th = 6", "n_th = 2")
+                   .replace("beta_min = 0.02", "beta_min = 0.001")
+                   .replace("beta_max = 0.22", "beta_max = 0.1"))
+    assert main(["train", "--config", str(cfg), "--steps", "20",
+                 "--data", str(work["manifest"]), "--out", str(run)]) == 0
+    ckpts = {"alpha=0": work["ckpt_e"], "alpha=1": run / "checkpoint"}
+
+    def eval_out(*paths):
+        out = tmp_path / f"ev{len(os.listdir(tmp_path))}"
+        argv = ["eval", "--data", str(work["manifest"]), "--out", str(out),
+                "--fast-steps", "6"]
+        for path in paths:
+            argv += ["--ckpt", str(path)]
+        assert main(argv) == 0
+        return out
+
+    solo = {label: (eval_out(path) / "eval_checkpoint.csv").read_text()
+            for label, path in ckpts.items()}
+    for order in (["alpha=0", "alpha=1"], ["alpha=1", "alpha=0"]):
+        out = eval_out(*(ckpts[label] for label in order))
+        for label in order:
+            assert (out / f"eval_{label}.csv").read_text() == solo[label]
+
+
 def test_eval_bad_fast_schedule_is_config_error(work, tmp_path):
     rc = main(["eval", "--ckpt", str(work["ckpt_e"]),
                "--data", str(work["manifest"]),
@@ -182,7 +214,7 @@ def test_mismatch_command(work, tmp_path, capsys):
 
 def test_train_resume_flow(work, tmp_path):
     # interrupting is covered in the trainer tests; here the CLI surface:
-    # --resume continues a finished checkpoint directory without --force
+    # --resume continues a finished checkpoint without --force
     cfg = work["root"] / "elbo.cfg"
     out = tmp_path / "resumed"
     rc = main(["train", "--config", str(cfg),
@@ -211,6 +243,18 @@ def test_exit_code_3_on_missing_data(work, tmp_path):
                "--data", str(work["manifest"]),
                "--out", str(tmp_path / "o2")])
     assert rc == 3
+    # a checkpoint with one byte changed, and a format-2 directory
+    blob = bytearray(work["ckpt_e"].read_bytes())
+    blob[-1] ^= 0x01
+    (tmp_path / "flipped").write_bytes(bytes(blob))
+    (tmp_path / "v2").mkdir()
+    (tmp_path / "v2" / "manifest.txt").write_text(
+        "format = mose-checkpoint-2\n")
+    for name in ("flipped", "v2"):
+        rc = main(["enhance", "--ckpt", str(tmp_path / name),
+                   "--data", str(work["manifest"]),
+                   "--out", str(tmp_path / f"o_{name}")])
+        assert rc == 3
 
 
 def test_refused_corpus_leaves_out_empty(tmp_path):

@@ -6,15 +6,12 @@ import pytest
 import mose.autodiff as ad
 from mose import (
     AdamState,
-    CheckpointError,
     DiffusionNet,
     DivergenceError,
     ParamSet,
     StepEmbedding,
     ValueNet,
     adam_step,
-    load_param_file,
-    save_param_file,
 )
 
 
@@ -382,30 +379,3 @@ def test_adam_rejects_nonfinite_gradients():
     params.grad[2] = np.nan
     with pytest.raises(DivergenceError):
         adam_step(params, state, lr=1e-2)
-
-
-# ---------------------------------------------------------------------------
-# parameter files
-
-def test_param_file_round_trip(tmp_path, rng):
-    net = DiffusionNet(channels=4, blocks=1, kernel=3, emb_dim=4)
-    params = net.init_params(rng, zero_head=False)
-    path = tmp_path / "theta.f32"
-    save_param_file(path, params)
-    back = load_param_file(path, params.size)
-    assert back.dtype == np.float32
-    assert np.array_equal(back, params.flat)
-
-
-def test_param_file_errors(tmp_path, rng):
-    net = DiffusionNet(channels=4, blocks=1, kernel=3, emb_dim=4)
-    with pytest.raises(CheckpointError):
-        save_param_file(tmp_path / "bad.f32",
-                        net.init_params(rng, dtype=np.float64))
-    params = net.init_params(rng)
-    path = tmp_path / "theta.f32"
-    save_param_file(path, params)
-    with pytest.raises(CheckpointError):
-        load_param_file(path, params.size + 1)
-    with pytest.raises(CheckpointError):
-        load_param_file(tmp_path / "missing.f32", params.size)

@@ -226,3 +226,19 @@ def test_load_corpus_rejects_malformed(tmp_path):
         fh.write("short\trow\n")
     with pytest.raises(DataError):
         load_corpus(manifest)
+
+
+def test_corpus_refuses_repeated_ids(tmp_path):
+    # both halves are named train-0000, train-0001: the second pair's WAVs
+    # would overwrite the first's
+    pairs = synth_corpus(1, 2, 128, [0.0]) + synth_corpus(2, 2, 256, [0.0])
+    out = tmp_path / "dup"
+    with pytest.raises(DataError, match=r"ids \['train-0000', 'train-0001'\]"):
+        write_corpus(pairs, out)
+    assert not out.exists()
+    manifest = write_corpus(pairs[:2], out)
+    row = (out / "manifest.tsv").read_text().splitlines()[1]
+    with open(manifest, "a", encoding="utf-8") as fh:
+        fh.write(row + "\n")
+    with pytest.raises(DataError, match=r"ids \['train-0000'\]"):
+        load_corpus(manifest)

@@ -1,6 +1,7 @@
 """Training loop, checkpoints, evaluation, sweep, and the mismatch probe."""
 
 import csv
+import hashlib
 import math
 import os
 import re
@@ -14,6 +15,7 @@ from mose import (
     ConfigError,
     DataError,
     DivergenceError,
+    ParamSet,
     TrainConfig,
     build_schedule,
     default_fast_schedule,
@@ -292,12 +294,9 @@ def interrupt_and_resume(tmp_path, corpus, cfg, every, kill, in_memory):
     text_a = (dir_a / "telemetry.csv").read_text()
     text_b = (dir_b / "telemetry.csv").read_text()
     assert text_a == text_b
-    names = sorted(os.listdir(dir_a / "checkpoint"))
-    assert names == sorted(os.listdir(dir_b / "checkpoint"))
-    for name in names:
-        ck_a = (dir_a / "checkpoint" / name).read_bytes()
-        ck_b = (dir_b / "checkpoint" / name).read_bytes()
-        assert ck_a == ck_b, name
+    assert sorted(os.listdir(dir_a)) == sorted(os.listdir(dir_b))
+    assert (dir_a / "checkpoint").read_bytes() == \
+        (dir_b / "checkpoint").read_bytes()
     assert res.state.l1_ref == ref.state.l1_ref
     if in_memory:
         assert res.state is resume
@@ -327,44 +326,107 @@ def test_resume_rejects_other_config(tmp_path, corpus):
         train(other, corpus, resume=str(tmp_path / "checkpoint"))
 
 
+def reseal(blob: bytes) -> bytes:
+    """A checkpoint whose sha256 line matches its (edited) contents."""
+    fmt, _, rest = blob.partition(b"\n")
+    body = rest.partition(b"\n")[2]
+    return b"\n".join([fmt, f"sha256 = {hashlib.sha256(body).hexdigest()}"
+                       .encode(), body])
+
+
 def test_checkpoint_corruption_detected(tmp_path, corpus):
+    from dataclasses import replace
     train(MICRO, corpus, out_dir=tmp_path)
     ck = tmp_path / "checkpoint"
     good = checkpoint_load(str(ck))
     assert good.iteration == MICRO.n_total
+    blob = ck.read_bytes()
+    assert reseal(blob) == blob
 
-    blob = (ck / "theta_d.f32").read_bytes()
-    (ck / "theta_d.f32").write_bytes(blob[:-8])
-    with pytest.raises(CheckpointError):
-        checkpoint_load(str(ck))
-    (ck / "theta_d.f32").write_bytes(blob)
+    def refused(data, match):
+        ck.write_bytes(data)
+        with pytest.raises(CheckpointError, match=match):
+            checkpoint_load(str(ck))
 
-    cfg_text = (ck / "config.txt").read_text()
-    (ck / "config.txt").write_text(cfg_text.replace("gamma = 0.95",
-                                                    "gamma = 0.5"))
-    with pytest.raises(CheckpointError, match="config"):
-        checkpoint_load(str(ck))
-    (ck / "config.txt").write_text(cfg_text)
-
-    man = (ck / "manifest.txt").read_text()
-    (ck / "manifest.txt").write_text(man.replace("format = ", "format = x"))
-    with pytest.raises(CheckpointError, match="format"):
-        checkpoint_load(str(ck))
-
-    # a format-1 manifest: l1_ref instead of the warm-up losses, and
-    # "param d name dims" lines without " = "
-    v1 = man.replace("mose-checkpoint-2", "mose-checkpoint-1")
-    v1 = re.sub(r"warm_l1 = .*", "l1_ref = 0.25", v1)
-    v1 = re.sub(r"(param \S+ \S+) = ", r"\1 ", v1)
-    (ck / "manifest.txt").write_text(v1)
-    with pytest.raises(CheckpointError, match="unknown format"):
-        checkpoint_load(str(ck))
-
+    flipped = bytearray(blob)
+    flipped[-5] ^= 0x01  # a payload byte
+    refused(bytes(flipped), "sha256")
+    refused(blob[:-8], "sha256")
+    refused(blob.replace(b"gamma = 0.95", b"gamma = 0.5"), "sha256")
+    refused(blob.replace(b"format = ", b"format = x", 1), "unknown format")
     # too few warm-up losses for the iteration would weaken the guard
-    (ck / "manifest.txt").write_text(re.sub(r"(warm_l1 = \S+) .*", r"\1",
-                                            man))
-    with pytest.raises(CheckpointError, match="warm-up losses"):
-        checkpoint_load(str(ck))
+    refused(reseal(re.sub(rb"(warm_l1 = \S+) .*", rb"\1", blob, count=1)),
+            "warm-up losses")
+
+    # a format-2 checkpoint directory is neither read nor replaced
+    v2 = tmp_path / "v2"
+    (v2 / "checkpoint").mkdir(parents=True)
+    (v2 / "checkpoint" / "manifest.txt").write_text(
+        "format = mose-checkpoint-2\n")
+    with pytest.raises(CheckpointError, match="mose-checkpoint-3"):
+        checkpoint_load(str(v2 / "checkpoint"))
+    with pytest.raises(CheckpointError, match="is a directory"):
+        train(MICRO, corpus, out_dir=v2)
+
+    # the format stores float32 only; a wider state is refused, not rounded
+    wide = replace(good, params_d=ParamSet(good.params_d.manifest,
+                                           good.params_d.flat.astype(
+                                               np.float64)))
+    with pytest.raises(CheckpointError, match="float32"):
+        trainer.checkpoint_save(str(tmp_path / "wide"), wide)
+
+
+class Torn(Exception):
+    pass
+
+
+def test_crash_mid_save_keeps_the_previous_checkpoint(tmp_path, corpus,
+                                                      monkeypatch):
+    # the iteration-20 save dies halfway through a write; the iteration-10
+    # checkpoint must survive it and resume to the straight run's bytes
+    from dataclasses import replace
+    cfg = replace(MICRO, n_total=24, n_th=12)
+    dir_a = tmp_path / "straight"
+    dir_b = tmp_path / "crashed"
+    train(cfg, corpus, out_dir=dir_a)
+    ckpt = str(dir_b / "checkpoint")
+    armed = []
+
+    class TornFile:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            self.fh.flush()
+            raise Torn()
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    def torn_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        if armed and "w" in mode and os.fspath(file).startswith(ckpt):
+            return TornFile(fh)
+        return fh
+
+    monkeypatch.setattr(trainer, "open", torn_open, raising=False)
+    with pytest.raises(Torn):
+        train(cfg, corpus, out_dir=dir_b, checkpoint_every=10,
+              iter_callback=lambda i, *_: armed.append(i) if i == 20 else 0)
+    monkeypatch.undo()
+    state = checkpoint_load(ckpt)
+    assert state.iteration == 10
+    train(cfg, corpus, out_dir=dir_b, resume=state)
+    assert sorted(os.listdir(dir_a)) == sorted(os.listdir(dir_b))
+    for name in ("telemetry.csv", "checkpoint"):
+        assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------
