@@ -58,9 +58,9 @@ print("  final SI-SNR vs clean: %+.2f dB" % si.evaluate(out, pair.x0))
 rel = np.linalg.norm(out - pair.x0) / np.linalg.norm(pair.x0)
 print("  relative L2 error:     %.4f" % rel)
 
-# the same walk with the noise injections disabled is deterministic and
+# the same walk without a generator adds no noise: it is deterministic and
 # lands even closer, since only the predictor error remains
-quiet = enhance(net, None, pair.y, sched, noiseless=True)
+quiet = enhance(net, None, pair.y, sched)
 print()
 print("noiseless oracle walk:")
 print("  final SI-SNR vs clean: %+.2f dB" % si.evaluate(quiet, pair.x0))

@@ -172,33 +172,12 @@ def stack_channels(*parts: Tensor) -> Tensor:
     return Tensor(out, tuple(parts), grad_fn)
 
 
-def concat(parts, axis: int = 1) -> Tensor:
-    out = np.concatenate([p.value for p in parts], axis=axis)
-    sizes = [p.value.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
-
-    def grad_fn(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return Tensor(out, tuple(parts), grad_fn)
-
-
 def expand_time(a: Tensor) -> Tensor:
     """(B, C) -> (B, C, 1), for broadcasting per-channel features over time."""
     out = a.value[:, :, None]
 
     def grad_fn(g):
         return (g.sum(axis=2),)
-
-    return Tensor(out, (a,), grad_fn)
-
-
-def unbatch(a: Tensor) -> Tensor:
-    """(L,) -> (1, L): add a leading batch axis."""
-    out = a.value[None, :]
-
-    def grad_fn(g):
-        return (g[0],)
 
     return Tensor(out, (a,), grad_fn)
 
@@ -219,18 +198,6 @@ def squeeze_last(a: Tensor) -> Tensor:
 
     def grad_fn(g):
         return (g[:, None],)
-
-    return Tensor(out, (a,), grad_fn)
-
-
-def index_first(a: Tensor) -> Tensor:
-    """Select row 0; used to unbatch single-sample forwards."""
-    out = a.value[0]
-
-    def grad_fn(g):
-        full = np.zeros_like(a.value)
-        full[0] = g
-        return (full,)
 
     return Tensor(out, (a,), grad_fn)
 
@@ -292,6 +259,43 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None,
 
     parents = (x, w) if b is None else (x, w, b)
     return Tensor(out, parents, grad_fn)
+
+
+# No network uses concat, unbatch or index_first.  They stay because the
+# benchmark's tracer (bench/tracer.py) wraps every op in its _AD_OPS by
+# name and cannot start with one missing.
+
+def concat(parts, axis: int = 1) -> Tensor:
+    out = np.concatenate([p.value for p in parts], axis=axis)
+    sizes = [p.value.shape[axis] for p in parts]
+    splits = np.cumsum(sizes)[:-1]
+
+    def grad_fn(g):
+        return tuple(np.split(g, splits, axis=axis))
+
+    return Tensor(out, tuple(parts), grad_fn)
+
+
+def unbatch(a: Tensor) -> Tensor:
+    """(L,) -> (1, L): add a leading batch axis."""
+    out = a.value[None, :]
+
+    def grad_fn(g):
+        return (g[0],)
+
+    return Tensor(out, (a,), grad_fn)
+
+
+def index_first(a: Tensor) -> Tensor:
+    """Select row 0."""
+    out = a.value[0]
+
+    def grad_fn(g):
+        full = np.zeros_like(a.value)
+        full[0] = g
+        return (full,)
+
+    return Tensor(out, (a,), grad_fn)
 
 
 def backward(root: Tensor) -> None:

@@ -83,22 +83,20 @@ def _write_run_manifest(out_dir: str, cmd: str, cfg: TrainConfig | None,
         fh.write("\n".join(lines) + "\n")
 
 
-def _load_config(args, overrides_ok: bool = True) -> TrainConfig:
-    cfg = parse_config_file(args.config) if getattr(args, "config", None) \
-        else TrainConfig()
-    if overrides_ok:
-        updates = {}
-        if getattr(args, "seed", None) is not None:
-            updates["seed"] = args.seed
-        if getattr(args, "alpha", None) is not None:
-            updates["alpha"] = args.alpha
-        if getattr(args, "steps", None) is not None:
-            updates["steps"] = args.steps
-        if getattr(args, "metric", None) is not None:
-            updates["metric"] = args.metric
-        if updates:
-            cfg = replace(cfg, **updates)
-    return cfg
+def _load_config(args) -> TrainConfig:
+    """The --config file (or the defaults) with the flags given on top."""
+    cfg = parse_config_file(args.config) if args.config else TrainConfig()
+    return replace(cfg, **{k: getattr(args, k)
+                           for k in ("seed", "alpha", "steps", "metric")
+                           if getattr(args, k) is not None})
+
+
+def _split_pairs(data: str, split: str) -> list:
+    """The pairs of one split of a corpus; none at all is a data error."""
+    pairs = [p for p in load_corpus(data) if p.split == split]
+    if not pairs:
+        raise DataError(f"{data}: no pairs with split {split!r}")
+    return pairs
 
 
 def _parse_fast_schedule(text: str) -> np.ndarray:
@@ -130,9 +128,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    corpus = [p for p in load_corpus(args.data) if p.split == "train"]
-    if not corpus:
-        raise DataError(f"{args.data}: no pairs with split 'train'")
+    corpus = _split_pairs(args.data, "train")
     run_inputs(cfg, corpus)  # refuse a bad run before --out gets a file
     out = _prepare_out(args.out, args.force or args.resume is not None)
     _write_run_manifest(out, "train", cfg, {"data": args.data})
@@ -199,9 +195,8 @@ def cmd_enhance(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    split = _split_pairs(args.data, args.split)
     out = _prepare_out(args.out, args.force)
-    corpus = load_corpus(args.data)
-    split = [p for p in corpus if p.split == args.split] or corpus
     metric_names = [m for m in args.metric.split(",") if m]
     metrics = [get_metric(m) for m in metric_names]
     given = _parse_fast_schedule(args.fast_schedule) \
@@ -239,6 +234,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_mismatch(args) -> int:
+    split = _split_pairs(args.data, args.split)[: args.n]
     out = _prepare_out(args.out, args.force)
     st_e, dnet, sched = _load_model(args.ckpt_elbo)
     st_m, _, sched_m = _load_model(args.ckpt_metric)
@@ -249,9 +245,6 @@ def cmd_mismatch(args) -> int:
         if config_to_text(base_e) != config_to_text(base_m):
             raise ConfigError("checkpoints differ beyond alpha/elbo_only; "
                               "the probe needs a shared chain and nets")
-    corpus = load_corpus(args.data)
-    split = [p for p in corpus if p.split == args.split] or corpus
-    split = split[: args.n]
     res = mismatch_experiment(dnet, st_e.params_d, st_m.params_d, split,
                               sched, get_metric(args.reward_metric),
                               get_metric(args.report_metric), seed=args.seed)

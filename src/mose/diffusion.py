@@ -12,8 +12,8 @@ target; algebraically C_t = (x_t - sqrt(ab_t) x0) / sqrt(1 - ab_t), so a
 perfect prediction recovers x0 from any latent in one division.
 
 Reverse steps use the schedule's precomputed posterior coefficients.  The
-chain starts at sqrt(ab_T) * y (plus start noise unless deterministic) and
-walks t = T..1; the last step adds no noise.  Fast sampling runs the same
+chain starts at sqrt(ab_T) * y (plus start noise when a generator is given)
+and walks t = T..1; the last step adds no noise.  Fast sampling runs the same
 walk over a short schedule built from explicit inference variances whose
 fractional positions on the training chain are found by matching
 sqrt(alpha_bar); positions feed only the step embedding.
@@ -83,19 +83,20 @@ def _standard_normal(like: np.ndarray, gens) -> np.ndarray:
 
 
 def _reverse_chain(net, params, y: np.ndarray, chain: NoiseSchedule,
-                   step_inputs: np.ndarray, rng, noiseless: bool) -> np.ndarray:
+                   step_inputs: np.ndarray, rng) -> np.ndarray:
     """Walk a reverse chain from its terminal marginal down to step 0.
 
     ``step_inputs[s-1]`` is what the network sees as the step index for
     chain step s; for the training chain these are just 1..T.  A (B, L)
     ``y`` walks B chains in one batch and needs a sequence of B generators,
     row b drawing its noise from ``rng[b]``, so every row is bit-identical
-    to walking that row alone; an (L,) ``y`` walks as one row.
+    to walking that row alone; an (L,) ``y`` walks as one row.  With no
+    ``rng`` the walk adds no noise: it follows the posterior means.
     """
     y = np.asarray(y)
     rows = y[None, :] if y.ndim == 1 else y
     gens = None
-    if rng is not None and not noiseless:
+    if rng is not None:
         gens = [rng] if y.ndim == 1 else rng
         if isinstance(gens, np.random.Generator) or len(gens) != len(rows):
             raise ValueError(f"a {y.shape} conditioner needs one generator "
@@ -114,14 +115,14 @@ def _reverse_chain(net, params, y: np.ndarray, chain: NoiseSchedule,
 
 
 def enhance(net, params, y: np.ndarray, sched: NoiseSchedule,
-            rng=None, noiseless: bool = False) -> np.ndarray:
+            rng=None) -> np.ndarray:
     """Full-length reverse walk conditioned on the degraded signal.
 
     ``y`` is one (L,) signal with one generator, or a (B, L) batch with a
-    sequence of B generators, one per row.
+    sequence of B generators, one per row; no ``rng`` walks without noise.
     """
     steps = np.arange(1, sched.T + 1, dtype=np.float64)
-    return _reverse_chain(net, params, y, sched, steps, rng, noiseless)
+    return _reverse_chain(net, params, y, sched, steps, rng)
 
 
 def align_inference_steps(infer: NoiseSchedule,
@@ -158,8 +159,7 @@ def align_inference_steps(infer: NoiseSchedule,
 
 
 def fast_sample(net, params, y: np.ndarray, infer_betas,
-                sched: NoiseSchedule, rng=None,
-                noiseless: bool = False) -> np.ndarray:
+                sched: NoiseSchedule, rng=None) -> np.ndarray:
     """Reverse walk over a short inference schedule aligned to ``sched``.
 
     Takes ``y`` and ``rng`` as ``enhance`` does.
@@ -170,7 +170,7 @@ def fast_sample(net, params, y: np.ndarray, infer_betas,
                              "training schedule")
     mini = schedule_from_betas(infer_betas, weight_mode=sched.weight_mode)
     taus = align_inference_steps(mini, sched)
-    return _reverse_chain(net, params, y, mini, taus, rng, noiseless)
+    return _reverse_chain(net, params, y, mini, taus, rng)
 
 
 def default_fast_schedule(sched: NoiseSchedule, n_steps: int = 6) -> np.ndarray:

@@ -135,12 +135,6 @@ class _TapeNet:
                 params.grad_view(name)[...] += g
         self._leaves = None
 
-    @staticmethod
-    def _rows(a, single: bool) -> ad.Tensor:
-        """A constant (B, L) input; an (L,) one when ``single`` gains a row."""
-        a = np.asarray(a)
-        return ad.const(a[None, :] if single else a)
-
 
 class DiffusionNet(_TapeNet):
     """Context-windowed noise predictor over (latent, conditioner) pairs."""
@@ -171,20 +165,13 @@ class DiffusionNet(_TapeNet):
 
     def forward(self, params: ParamSet, x_t, y, t,
                 params_tracked: bool = False) -> ad.Tensor:
-        """Predict the combined noise; accepts (L,) or (B, L) inputs."""
-        x_arr = x_t.value if isinstance(x_t, ad.Tensor) else np.asarray(x_t)
-        single = x_arr.ndim == 1
+        """Predict the combined noise of (B, L) latents ``x_t`` given (B, L)
+        conditioners ``y``; ``t`` is one step per row or one for all."""
         p = self._param_nodes(params, params_tracked)
+        embt = ad.const(self.embedding(t).astype(params.dtype))
 
-        xt = x_t if isinstance(x_t, ad.Tensor) else self._rows(x_t, single)
-        yt = self._rows(y, single)
-        emb = self.embedding(t).astype(params.dtype)
-        if single and emb.shape[0] != 1:
-            raise ValueError("scalar t expected for single-vector input")
-        embt = ad.const(emb)
-
-        h = ad.conv1d(ad.stack_channels(xt, yt), p["in_proj.w"],
-                      p["in_proj.b"])
+        h = ad.conv1d(ad.stack_channels(ad.const(x_t), ad.const(y)),
+                      p["in_proj.w"], p["in_proj.b"])
         h = ad.relu(h)
         for i, dil in enumerate(self.dilations):
             cond = ad.linear(embt, p[f"block{i}.emb.w"], p[f"block{i}.emb.b"])
@@ -195,8 +182,7 @@ class DiffusionNet(_TapeNet):
             u = ad.conv1d(u, p[f"block{i}.mix.w"], p[f"block{i}.mix.b"])
             h = ad.add(h, u)
         out = ad.conv1d(h, p["out_proj.w"], p["out_proj.b"])
-        out = ad.squeeze_channel(out)
-        return ad.index_first(out) if single else out
+        return ad.squeeze_channel(out)
 
 
 class ValueNet(_TapeNet):
@@ -205,60 +191,38 @@ class ValueNet(_TapeNet):
     head = frozenset({"fc3.w", "fc3.b"})
 
     def __init__(self, channels: int = 16, kernel: int = 5,
-                 strides=(4, 4, 4), mlp_width: int = 32,
-                 step_input: bool = False, emb_dim: int = 16,
-                 max_time: float = 200.0):
+                 strides=(4, 4, 4), mlp_width: int = 32):
         self.channels = channels
         self.kernel = kernel
         self.strides = tuple(strides)
         self.mlp_width = mlp_width
-        self.step_input = step_input
-        self.embedding = StepEmbedding(emb_dim, max_time)
         m = []
         c_in = 3
         for i, _ in enumerate(self.strides):
             m += [(f"enc{i}.w", (channels, c_in, kernel)),
                   (f"enc{i}.b", (channels,))]
             c_in = channels
-        feat = channels
-        if step_input:
-            m += [("step.w", (emb_dim, channels)), ("step.b", (channels,))]
-            feat += channels
-        m += [("fc0.w", (feat, mlp_width)), ("fc0.b", (mlp_width,)),
+        m += [("fc0.w", (channels, mlp_width)), ("fc0.b", (mlp_width,)),
               ("fc1.w", (mlp_width, mlp_width)), ("fc1.b", (mlp_width,)),
               ("fc2.w", (mlp_width, mlp_width)), ("fc2.b", (mlp_width,)),
               ("fc3.w", (mlp_width, 1)), ("fc3.b", (1,))]
         self.manifest = m
 
-    def forward(self, params: ParamSet, x_t, action, x0, t=None,
+    def forward(self, params: ParamSet, x_t, action, x0,
                 params_tracked: bool = False) -> ad.Tensor:
-        """Score shape: () for single vectors, (B,) for batches."""
-        a_arr = action.value if isinstance(action, ad.Tensor) \
-            else np.asarray(action)
-        single = a_arr.ndim == 1
+        """(B,) scores of (B, L) rows; ``action`` may be a live tape node,
+        so the actor term's gradient reaches the enhancer through it."""
         p = self._param_nodes(params, params_tracked)
-
-        if isinstance(action, ad.Tensor):
-            at = ad.unbatch(action) if single else action
-        else:
-            at = self._rows(action, single)
-        h = ad.stack_channels(self._rows(x_t, single), at,
-                               self._rows(x0, single))
+        at = action if isinstance(action, ad.Tensor) else ad.const(action)
+        h = ad.stack_channels(ad.const(x_t), at, ad.const(x0))
         for i, s in enumerate(self.strides):
             h = ad.relu(ad.conv1d(h, p[f"enc{i}.w"], p[f"enc{i}.b"],
                                   stride=s))
-        feat = ad.mean_axis(h, axis=2)
-        if self.step_input:
-            if t is None:
-                raise ValueError("this scorer was built with step_input=True")
-            emb = ad.const(self.embedding(t).astype(params.dtype))
-            feat = ad.concat([feat, ad.relu(ad.linear(emb, p["step.w"],
-                                                      p["step.b"]))], axis=1)
-        h = ad.relu(ad.linear(feat, p["fc0.w"], p["fc0.b"]))
+        h = ad.relu(ad.linear(ad.mean_axis(h, axis=2), p["fc0.w"],
+                              p["fc0.b"]))
         h = ad.relu(ad.linear(h, p["fc1.w"], p["fc1.b"]))
         h = ad.relu(ad.linear(h, p["fc2.w"], p["fc2.b"]))
-        out = ad.squeeze_last(ad.linear(h, p["fc3.w"], p["fc3.b"]))
-        return ad.index_first(out) if single else out
+        return ad.squeeze_last(ad.linear(h, p["fc3.w"], p["fc3.b"]))
 
 
 @dataclass

@@ -8,9 +8,9 @@ learns discounted future improvement; the actor term pushes the enhancer
 toward actions the scorer ranks higher, with gradients flowing only
 through the action input.
 
-Every function works on (B, L) batches, one row per trajectory.  ``t`` is
-the per-row step of ``x_t``; step-aware scorers (``step_input=True``) see
-it, the others ignore it.
+Every function works on (B, L) batches, one row per trajectory.  The
+scorer sees no step index: it judges an action from the latent, the action
+and the clean signal alone.
 """
 
 from __future__ import annotations
@@ -31,16 +31,15 @@ def reward(x_prev: np.ndarray, x_t: np.ndarray, x0: np.ndarray,
     return rew
 
 
-def actor_loss(value_net, params_v, x_t, eps_hat: ad.Tensor, x0,
-               t=None) -> ad.Tensor:
+def actor_loss(value_net, params_v, x_t, eps_hat: ad.Tensor,
+               x0) -> ad.Tensor:
     """Negated mean scorer output; backward reaches only the enhancer.
 
     ``eps_hat`` must be the live tape output of the enhancer.  The scorer's
     parameters enter as constants, so its weights get no gradient, which is
     the actor/critic separation.
     """
-    v = value_net.forward(params_v, x_t, eps_hat, x0, t=t,
-                          params_tracked=False)
+    v = value_net.forward(params_v, x_t, eps_hat, x0, params_tracked=False)
     return ad.scale(ad.mean_all(v), -1.0)
 
 
@@ -55,18 +54,17 @@ def critic_target(rew: np.ndarray, t: np.ndarray, gamma: float, value_net,
     targets = rew.copy()
     mask = t >= 2
     if np.any(mask):
-        t_next = (t[mask] - 1).astype(np.float64)
         eps_next = net_d.forward(params_d, x_prev[mask], y[mask],
-                                 t_next).value
+                                 t[mask] - 1).value
         v_next = value_net.forward(params_v, x_prev[mask], eps_next,
-                                   x0[mask], t=t_next).value
+                                   x0[mask]).value
         targets[mask] += gamma * v_next.astype(np.float64)
     return targets
 
 
 def bellman_loss(value_net, params_v, x_t, eps_t, x0,
-                 target: np.ndarray, t=None) -> ad.Tensor:
+                 target: np.ndarray) -> ad.Tensor:
     """Squared regression of the scorer onto fixed targets."""
-    v = value_net.forward(params_v, x_t, eps_t, x0, t=t, params_tracked=True)
+    v = value_net.forward(params_v, x_t, eps_t, x0, params_tracked=True)
     diff = ad.sub(ad.const(np.asarray(target, dtype=v.value.dtype)), v)
     return ad.mean_all(ad.square(diff))

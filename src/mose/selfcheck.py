@@ -169,8 +169,7 @@ def c4_gradient_errors() -> dict[str, tuple[float, int]]:
     central differences; returns {path: (worst relative error, checked)}."""
     gen = np.random.default_rng(5)
     dnet = DiffusionNet(channels=6, blocks=2, kernel=3, emb_dim=8)
-    vnet = ValueNet(channels=8, kernel=5, strides=(4, 4), mlp_width=16,
-                    emb_dim=8)
+    vnet = ValueNet(channels=8, kernel=5, strides=(4, 4), mlp_width=16)
     pd = dnet.init_params(np.random.default_rng(1), dtype=np.float64,
                           zero_head=False)
     pv = vnet.init_params(np.random.default_rng(2), dtype=np.float64,

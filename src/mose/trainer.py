@@ -38,7 +38,7 @@ from .nets import AdamState, DiffusionNet, ParamSet, ValueNet, adam_step
 from .schedule import NoiseSchedule, build_schedule
 from .signals import SignalPair
 
-_CKPT_FORMAT = "mose-checkpoint-3"
+_CKPT_FORMAT = "mose-checkpoint-4"
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,6 @@ class TrainConfig:
     metric: str = "si_snr"     # reward metric name
     metric_cmd: str = ""       # external scorer command template, optional
     elbo_only: bool = False    # regression-only baseline, no scorer at all
-    critic_step_input: bool = False
     update_v_first: bool = False
     d_channels: int = 16
     d_blocks: int = 4
@@ -229,21 +228,15 @@ def read_telemetry_csv(path) -> list[TelemetryRow]:
     return [_telemetry_row(ln) for ln in lines[1:]]
 
 
-def _max_time(cfg: TrainConfig) -> float:
-    return float(max(200, 4 * cfg.steps))
-
-
 def build_dnet(cfg: TrainConfig) -> DiffusionNet:
     return DiffusionNet(channels=cfg.d_channels, blocks=cfg.d_blocks,
                         kernel=cfg.d_kernel, emb_dim=cfg.emb_dim,
-                        max_time=_max_time(cfg))
+                        max_time=float(max(200, 4 * cfg.steps)))
 
 
 def build_nets(cfg: TrainConfig) -> tuple[DiffusionNet, ValueNet]:
     vnet = ValueNet(channels=cfg.v_channels, kernel=cfg.v_kernel,
-                    mlp_width=cfg.v_mlp_width,
-                    step_input=cfg.critic_step_input, emb_dim=cfg.emb_dim,
-                    max_time=_max_time(cfg))
+                    mlp_width=cfg.v_mlp_width)
     return build_dnet(cfg), vnet
 
 
@@ -455,22 +448,8 @@ def train(cfg: TrainConfig, corpus: list[SignalPair], out_dir=None,
         x_t = forward_sample_batch(xb0, yb, t_arr, eps, sched)
         target = target_noise_batch(xb0, yb, t_arr, eps, sched)
 
-        phase1 = i <= cfg.n_th
-        joint = (not phase1) and (not cfg.elbo_only)
-        lr_d = cfg.lr_d if phase1 else cfg.lr_d_joint
-
-        if not joint:
-            pred = dnet.forward(state.params_d, x_t, yb, t_arr,
-                                params_tracked=True)
-            l1_t = ad.mean_all(ad.abs_(ad.sub(pred, ad.const(target))))
-            ad.backward(l1_t)
-            dnet.accumulate_grads(state.params_d)
-            adam_step(state.params_d, state.adam_d, lr_d)
-            row = TelemetryRow(i, 1 if phase1 else 2, float(l1_t.value),
-                               math.nan, math.nan, math.nan, math.nan)
-        else:
-            row = _joint_update(state, sched, dnet, vnet, metric, x_t, yb,
-                                xb0, t_arr, target, lr_d, i)
+        row = _update(state, i, sched, dnet, vnet, metric, x_t, yb, xb0,
+                      t_arr, target)
         state.iteration = i
 
         telemetry.append(row)
@@ -500,44 +479,54 @@ def train(cfg: TrainConfig, corpus: list[SignalPair], out_dir=None,
     return TrainResult(state, sched, dnet, vnet, telemetry)
 
 
-def _joint_update(state: TrainState, sched, dnet, vnet, metric, x_t, yb, xb0,
-                  t_arr, target, lr_d, i) -> TelemetryRow:
-    """One phase-2 iteration: actor-augmented enhancer update + scorer update."""
+def _update(state: TrainState, i: int, sched, dnet, vnet, metric, x_t, yb,
+            xb0, t_arr, target) -> TelemetryRow:
+    """Iteration ``i``'s updates and its telemetry row.
+
+    The enhancer takes one Adam step on the L1 loss, plus ``alpha`` times
+    the actor loss in the joint phase; a joint iteration also updates the
+    scorer on the executed action, before or after the enhancer as
+    ``update_v_first`` says.  The iteration's tapes, with every
+    intermediate array and gradient, are freed on return.
+    """
     cfg = state.config
-    params_d, params_v = state.params_d, state.params_v
-    t_emb = t_arr.astype(np.float64)
+    phase1 = i <= cfg.n_th
+    joint = not (phase1 or cfg.elbo_only)
+    pred = dnet.forward(state.params_d, x_t, yb, t_arr, params_tracked=True)
+    critic = (math.nan,) * 3
+    if joint and cfg.update_v_first:
+        critic = _critic_update(state, sched, dnet, vnet, metric, x_t, yb,
+                                xb0, t_arr, pred.value)
+    l1_t = ad.mean_all(ad.abs_(ad.sub(pred, ad.const(target))))
+    loss, l2 = l1_t, math.nan
+    if joint:
+        l2_t = rl.actor_loss(vnet, state.params_v, x_t, pred, xb0)
+        loss, l2 = ad.add(l1_t, ad.scale(l2_t, cfg.alpha)), float(l2_t.value)
+    ad.backward(loss)
+    dnet.accumulate_grads(state.params_d)
+    adam_step(state.params_d, state.adam_d,
+              cfg.lr_d if phase1 else cfg.lr_d_joint)
+    if joint and not cfg.update_v_first:
+        critic = _critic_update(state, sched, dnet, vnet, metric, x_t, yb,
+                                xb0, t_arr, pred.value)
+    return TelemetryRow(i, 1 if phase1 else 2, float(l1_t.value), l2,
+                        *critic)
 
-    pred = dnet.forward(params_d, x_t, yb, t_emb, params_tracked=True)
-    action = pred.value  # detached action executed by the sampler
 
-    def update_d():
-        l1_t = ad.mean_all(ad.abs_(ad.sub(pred, ad.const(target))))
-        l2_t = rl.actor_loss(vnet, params_v, x_t, pred, xb0, t=t_emb)
-        loss = ad.add(l1_t, ad.scale(l2_t, cfg.alpha))
-        ad.backward(loss)
-        dnet.accumulate_grads(params_d)
-        adam_step(params_d, state.adam_d, lr_d)
-        return float(l1_t.value), float(l2_t.value)
-
-    def update_v():
-        x_prev = reverse_mean_batch(x_t, yb, action, t_arr, sched)
-        rew = rl.reward(x_prev, x_t, xb0, metric)
-        targets = rl.critic_target(rew, t_arr, cfg.gamma, vnet, params_v,
-                                   dnet, params_d, x_prev, yb, xb0)
-        l3_t = rl.bellman_loss(vnet, params_v, x_t, action, xb0, targets,
-                               t=t_emb)
-        ad.backward(l3_t)
-        vnet.accumulate_grads(params_v)
-        adam_step(params_v, state.adam_v, cfg.lr_v)
-        return float(l3_t.value), float(np.mean(rew)), float(np.mean(targets))
-
-    if cfg.update_v_first:
-        l3, rew_mean, tgt_mean = update_v()
-        l1, l2 = update_d()
-    else:
-        l1, l2 = update_d()
-        l3, rew_mean, tgt_mean = update_v()
-    return TelemetryRow(i, 2, l1, l2, l3, rew_mean, tgt_mean)
+def _critic_update(state: TrainState, sched, dnet, vnet, metric, x_t, yb,
+                   xb0, t_arr, action) -> tuple[float, float, float]:
+    """One scorer update on the executed ``action``; returns the Bellman
+    loss and the mean reward and target."""
+    cfg = state.config
+    x_prev = reverse_mean_batch(x_t, yb, action, t_arr, sched)
+    rew = rl.reward(x_prev, x_t, xb0, metric)
+    targets = rl.critic_target(rew, t_arr, cfg.gamma, vnet, state.params_v,
+                               dnet, state.params_d, x_prev, yb, xb0)
+    l3_t = rl.bellman_loss(vnet, state.params_v, x_t, action, xb0, targets)
+    ad.backward(l3_t)
+    vnet.accumulate_grads(state.params_v)
+    adam_step(state.params_v, state.adam_v, cfg.lr_v)
+    return float(l3_t.value), float(np.mean(rew)), float(np.mean(targets))
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +752,7 @@ def mismatch_experiment(dnet: DiffusionNet, params_elbo: ParamSet,
             elbo_sum += float(np.mean(np.abs(pred - target)))
 
         start = math.sqrt(float(sched.alpha_bar[sched.T])) * y32
-        x = enhance(dnet, params_metric, y32, sched, noiseless=True)
+        x = enhance(dnet, params_metric, y32, sched)
         total_r = float(rl.reward(x[None], start[None], pair.x0[None],
                                   reward_metric)[0])
         delta = report_metric.evaluate(x, pair.x0) \

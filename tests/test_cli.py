@@ -212,6 +212,20 @@ def test_mismatch_command(work, tmp_path, capsys):
     assert "corr(" in printed
 
 
+@pytest.mark.parametrize("cmd", ["eval", "mismatch"])
+def test_unknown_split_is_data_error(work, tmp_path, capsys, cmd):
+    # no pair has the split: refused, not scored on the whole corpus
+    ckpts = (["--ckpt", str(work["ckpt_e"])] if cmd == "eval" else
+             ["--ckpt-elbo", str(work["ckpt_e"]),
+              "--ckpt-metric", str(work["ckpt_m"])])
+    out = tmp_path / "o"
+    rc = main([cmd, *ckpts, "--data", str(work["manifest"]),
+               "--out", str(out), "--split", "tset"])
+    assert rc == 3
+    assert "split 'tset'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_resume_flow(work, tmp_path):
     # interrupting is covered in the trainer tests; here the CLI surface:
     # --resume continues a finished checkpoint without --force

@@ -292,15 +292,6 @@ def test_oracle_rollout_recovers_clean_signal(sched50, rng):
     assert rel <= 0.1
 
 
-def test_enhance_deterministic_modes_agree(sched50, rng):
-    pair = make_pair(rng)
-    net = OracleNet(pair.x0, sched50)
-    a = enhance(net, None, pair.y, sched50, rng=None)
-    b = enhance(net, None, pair.y, sched50,
-                rng=np.random.default_rng(1), noiseless=True)
-    assert np.array_equal(a, b)
-
-
 def test_enhance_identical_seeds_identical_outputs(sched50, rng):
     pair = make_pair(rng)
     net = OracleNet(pair.x0, sched50)

@@ -126,14 +126,15 @@ def test_dnet_zero_head_outputs_zero(rng):
 
 @pytest.mark.parametrize("length", [64, 1024])
 def test_dnet_single_equals_batch_row(rng, length):
+    # a row forwarded alone, with one scalar step, equals its row in a batch
     net = DiffusionNet(channels=6, blocks=2, kernel=3, emb_dim=6)
     params = net.init_params(rng, zero_head=False)
     x = rng.standard_normal((2, length)).astype(np.float32)
     y = rng.standard_normal((2, length)).astype(np.float32)
     batch = net.forward(params, x, y, np.array([3.0, 8.0])).value
-    one = net.forward(params, x[0], y[0], 3.0).value
-    assert one.shape == (length,)
-    assert np.array_equal(one, batch[0])
+    one = net.forward(params, x[:1], y[:1], 3.0).value
+    assert one.shape == (1, length)
+    assert np.array_equal(one[0], batch[0])
 
 
 def test_dnet_batch_permutation_invariance(rng):
@@ -170,8 +171,8 @@ def test_dnet_receptive_field_is_local(rng):
 def test_dnet_distinct_steps_distinct_outputs(rng):
     net = DiffusionNet(channels=6, blocks=2, kernel=3, emb_dim=6)
     params = net.init_params(rng, zero_head=False)
-    x = rng.standard_normal(64).astype(np.float32)
-    y = rng.standard_normal(64).astype(np.float32)
+    x = rng.standard_normal((1, 64)).astype(np.float32)
+    y = rng.standard_normal((1, 64)).astype(np.float32)
     a = net.forward(params, x, y, 1.0).value
     b = net.forward(params, x, y, 40.0).value
     assert not np.array_equal(a, b)
@@ -214,43 +215,33 @@ def test_dnet_dilation_mismatch():
         DiffusionNet(channels=4, blocks=3, dilations=[1, 2])
 
 
-def test_dnet_scalar_t_for_single_input(rng):
-    net = DiffusionNet(channels=4, blocks=1, kernel=3, emb_dim=4)
-    params = net.init_params(rng)
-    x = rng.standard_normal(32).astype(np.float32)
-    with pytest.raises(ValueError):
-        net.forward(params, x, x, np.array([1.0, 2.0]))
-
-
 # ---------------------------------------------------------------------------
 # scorer network
 
 def test_vnet_zero_head_scores_zero(rng):
-    net = ValueNet(channels=6, kernel=5, mlp_width=8, emb_dim=4)
+    net = ValueNet(channels=6, kernel=5, mlp_width=8)
     params = net.init_params(rng)
     x = rng.standard_normal((2, 256)).astype(np.float32)
     out = net.forward(params, x, x, x).value
     assert out.shape == (2,)
     assert np.all(out == 0.0)
-    single = net.forward(params, x[0], x[0], x[0]).value
-    assert single.shape == ()
-    assert float(single) == 0.0
 
 
 def test_vnet_single_equals_batch_row(rng):
-    net = ValueNet(channels=6, kernel=5, mlp_width=8, emb_dim=4)
+    net = ValueNet(channels=6, kernel=5, mlp_width=8)
     params = net.init_params(rng, zero_head=False)
     x = rng.standard_normal((3, 128)).astype(np.float32)
     a = rng.standard_normal((3, 128)).astype(np.float32)
     c = rng.standard_normal((3, 128)).astype(np.float32)
     batch = net.forward(params, x, a, c).value
-    one = net.forward(params, x[1], a[1], c[1]).value
-    assert np.array_equal(np.asarray(one), batch[1])
+    one = net.forward(params, x[1:2], a[1:2], c[1:2]).value
+    assert one.shape == (1,)
+    assert np.array_equal(one[0], batch[1])
 
 
 def test_vnet_tensor_action_paths(rng):
-    # gradient must flow through a Tensor action, both batched and single
-    net = ValueNet(channels=4, kernel=5, mlp_width=8, emb_dim=4)
+    # gradient flows into a Tensor action, not into the scorer's weights
+    net = ValueNet(channels=4, kernel=5, mlp_width=8)
     params = net.init_params(rng, dtype=np.float64, zero_head=False)
     x = rng.standard_normal((2, 64))
     c = rng.standard_normal((2, 64))
@@ -259,17 +250,13 @@ def test_vnet_tensor_action_paths(rng):
     ad.backward(out)
     assert a_leaf.grad is not None
     assert a_leaf.grad.shape == (2, 64)
-
-    a_single = ad.leaf(rng.standard_normal(64))
-    out_s = net.forward(params, x[0], a_single, c[0])
-    assert out_s.shape == ()
-    ad.backward(out_s)
-    assert a_single.grad.shape == (64,)
+    with pytest.raises(RuntimeError):
+        net.accumulate_grads(params)  # parameters entered as constants
 
 
 def test_vnet_action_gradient_matches_fd(rng):
     # channels wide enough that the relu encoder cannot die entirely
-    net = ValueNet(channels=8, kernel=5, mlp_width=8, emb_dim=4)
+    net = ValueNet(channels=8, kernel=5, mlp_width=8)
     params = net.init_params(rng, dtype=np.float64, zero_head=False)
     x = rng.standard_normal((2, 64))
     c = rng.standard_normal((2, 64))
@@ -292,7 +279,7 @@ def test_vnet_action_gradient_matches_fd(rng):
 
 
 def test_vnet_params_gradient_matches_fd(rng):
-    net = ValueNet(channels=8, kernel=5, mlp_width=8, emb_dim=4)
+    net = ValueNet(channels=8, kernel=5, mlp_width=8)
     params = net.init_params(rng, dtype=np.float64, zero_head=False)
     x = rng.standard_normal((2, 64))
     a = rng.standard_normal((2, 64))
@@ -310,26 +297,6 @@ def test_vnet_params_gradient_matches_fd(rng):
     coords = rng.choice(params.size, size=40, replace=False)
     want = fd_on_params(loss_value, params, coords)
     assert_grads_match({i: params.grad[i] for i in coords}, want)
-
-
-def test_vnet_step_input_variant(rng):
-    net = ValueNet(channels=4, kernel=5, mlp_width=8, emb_dim=6,
-                   step_input=True)
-    params = net.init_params(rng, zero_head=False)
-    x = rng.standard_normal((2, 64)).astype(np.float32)
-    out_a = net.forward(params, x, x, x, t=np.array([1.0, 2.0])).value
-    out_b = net.forward(params, x, x, x, t=np.array([40.0, 41.0])).value
-    assert not np.array_equal(out_a, out_b)
-    with pytest.raises(ValueError):
-        net.forward(params, x, x, x)  # t became mandatory
-
-
-def test_vnet_without_step_input_ignores_t(rng):
-    net = ValueNet(channels=4, kernel=5, mlp_width=8, emb_dim=4)
-    params = net.init_params(rng, zero_head=False)
-    x = rng.standard_normal((2, 64)).astype(np.float32)
-    assert np.array_equal(net.forward(params, x, x, x, t=np.array([1.0, 1.0])).value,
-                          net.forward(params, x, x, x).value)
 
 
 # ---------------------------------------------------------------------------

@@ -60,9 +60,8 @@ def test_reward_invariant_to_metric_offset(rng):
 # ---------------------------------------------------------------------------
 # actor side
 
-def small_vnet(step_input=False):
-    return ValueNet(channels=8, kernel=5, strides=(4, 4), mlp_width=16,
-                    step_input=step_input, emb_dim=8)
+def small_vnet():
+    return ValueNet(channels=8, kernel=5, strides=(4, 4), mlp_width=16)
 
 
 def test_actor_loss_zero_for_fresh_scorer(rng):
@@ -104,24 +103,23 @@ def test_actor_loss_value_is_negated_mean_score(rng):
                                               rel=1e-6)
 
 
-def check_actor_fd(rng, step_input):
-    vnet = small_vnet(step_input)
+def test_actor_gradient_matches_finite_differences(rng):
+    vnet = small_vnet()
     pv = vnet.init_params(np.random.default_rng(3), zero_head=False)
     pv.flat[:] = pv.flat.astype(np.float64)
     x_t = rng.standard_normal((2, 48))
     x0 = rng.standard_normal((2, 48))
     eps_arr = rng.standard_normal((2, 48))
-    t = np.array([3.0, 40.0])
     eps = ad.leaf(eps_arr)
-    ad.backward(actor_loss(vnet, pv, x_t, eps, x0, t=t))
+    ad.backward(actor_loss(vnet, pv, x_t, eps, x0))
     idx = [(i, j) for i in range(2) for j in range(0, 48, 5)]
     h = 1e-6
     checked = 0
     for i, j in idx:
         e_hi = eps_arr.copy(); e_hi[i, j] += h
         e_lo = eps_arr.copy(); e_lo[i, j] -= h
-        hi = float(actor_loss(vnet, pv, x_t, ad.const(e_hi), x0, t=t).value)
-        lo = float(actor_loss(vnet, pv, x_t, ad.const(e_lo), x0, t=t).value)
+        hi = float(actor_loss(vnet, pv, x_t, ad.const(e_hi), x0).value)
+        lo = float(actor_loss(vnet, pv, x_t, ad.const(e_lo), x0).value)
         fd = (hi - lo) / (2 * h)
         got = eps.grad[i, j]
         if abs(fd) < 1e-9 and abs(got) < 1e-9:
@@ -129,29 +127,6 @@ def check_actor_fd(rng, step_input):
         assert abs(got - fd) <= 1e-4 * max(abs(fd), abs(got), 1e-8)
         checked += 1
     assert checked >= 10
-
-
-def test_actor_gradient_matches_finite_differences(rng):
-    check_actor_fd(rng, step_input=False)
-
-
-def test_actor_gradient_matches_finite_differences_step_aware(rng):
-    # the step reaches a step-aware scorer through actor_loss(..., t=)
-    check_actor_fd(rng, step_input=True)
-
-
-def test_losses_feed_step_to_step_aware_scorer(rng):
-    vnet = small_vnet(step_input=True)
-    pv = vnet.init_params(np.random.default_rng(3), zero_head=False)
-    x_t, eps, x0 = rng.standard_normal((3, 2, 64)).astype(np.float32)
-    t = np.array([3.0, 40.0])
-    v = vnet.forward(pv, x_t, eps, x0, t=t).value
-    assert float(actor_loss(vnet, pv, x_t, ad.const(eps), x0, t=t).value) \
-        == pytest.approx(-float(np.mean(v)), rel=1e-6)
-    targets = np.array([0.5, -1.5], dtype=np.float32)
-    assert float(bellman_loss(vnet, pv, x_t, eps, x0, targets, t=t).value) \
-        == pytest.approx(float(np.mean((targets - v) ** 2)), rel=1e-6)
-    assert not np.allclose(v, vnet.forward(pv, x_t, eps, x0, t=t[::-1]).value)
 
 
 def test_zero_alpha_keeps_enhancer_gradient_pure(sched50, rng):
@@ -185,8 +160,8 @@ def test_zero_alpha_keeps_enhancer_gradient_pure(sched50, rng):
 # ---------------------------------------------------------------------------
 # critic side
 
-def critic_nets(step_input=False):
-    vnet = small_vnet(step_input)
+def critic_nets():
+    vnet = small_vnet()
     pv = vnet.init_params(np.random.default_rng(5), zero_head=False)
     dnet = DiffusionNet(channels=6, blocks=2, kernel=3, emb_dim=6)
     pd = dnet.init_params(np.random.default_rng(6), zero_head=False)
@@ -234,20 +209,6 @@ def test_critic_target_drops_tail_at_walk_end(rng):
     assert np.array_equal(got, r)
 
 
-def test_critic_target_feeds_step_to_step_aware_scorer(rng):
-    vnet, pv, dnet, pd = critic_nets(step_input=True)
-    x_prev = rng.standard_normal((1, 64)).astype(np.float32)
-    y = rng.standard_normal((1, 64)).astype(np.float32)
-    x0 = rng.standard_normal((1, 64)).astype(np.float32)
-    got = critic_target(np.zeros(1), np.array([10]), 1.0 - 1e-9, vnet, pv,
-                        dnet, pd, x_prev, y, x0)
-    eps_next = dnet.forward(pd, x_prev, y, np.array([9.0])).value
-    v9 = float(vnet.forward(pv, x_prev, eps_next, x0, t=[9.0]).value[0])
-    v3 = float(vnet.forward(pv, x_prev, eps_next, x0, t=[3.0]).value[0])
-    assert got[0] == pytest.approx((1.0 - 1e-9) * v9, abs=1e-9)
-    assert v9 != v3
-
-
 # ---------------------------------------------------------------------------
 # bellman loss
 
@@ -262,23 +223,31 @@ def test_bellman_loss_closed_form_for_fresh_scorer(rng):
         float(np.mean(targets ** 2)), rel=1e-6)
 
 
-def check_bellman_fd(rng, step_input):
-    vnet = small_vnet(step_input)
+def test_bellman_loss_is_mean_squared_gap(rng):
+    vnet = small_vnet()
+    pv = vnet.init_params(np.random.default_rng(3), zero_head=False)
+    x_t, eps, x0 = rng.standard_normal((3, 2, 64)).astype(np.float32)
+    v = vnet.forward(pv, x_t, eps, x0).value
+    targets = np.array([0.5, -1.5], dtype=np.float32)
+    assert float(bellman_loss(vnet, pv, x_t, eps, x0, targets).value) \
+        == pytest.approx(float(np.mean((targets - v) ** 2)), rel=1e-6)
+
+
+def test_bellman_gradient_matches_finite_differences(rng):
+    vnet = small_vnet()
     pv64 = vnet.init_params(np.random.default_rng(7), dtype=np.float64,
                             zero_head=False)
     x_t = rng.standard_normal((2, 48))
     eps = rng.standard_normal((2, 48))
     x0 = rng.standard_normal((2, 48))
     targets = np.array([0.8, -0.3])
-    t = np.array([3.0, 40.0])
 
     def loss_at(flat):
         pv64.flat[:] = flat
-        return float(bellman_loss(vnet, pv64, x_t, eps, x0, targets,
-                                  t=t).value)
+        return float(bellman_loss(vnet, pv64, x_t, eps, x0, targets).value)
 
     base = pv64.flat.copy()
-    ad.backward(bellman_loss(vnet, pv64, x_t, eps, x0, targets, t=t))
+    ad.backward(bellman_loss(vnet, pv64, x_t, eps, x0, targets))
     pv64.zero_grad()
     vnet.accumulate_grads(pv64)
     got = pv64.grad.copy()
@@ -297,15 +266,6 @@ def check_bellman_fd(rng, step_input):
         assert abs(got[k] - fd) <= 1e-4 * max(abs(fd), abs(got[k]), 1e-8)
         checked += 1
     assert checked >= 20
-
-
-def test_bellman_gradient_matches_finite_differences(rng):
-    check_bellman_fd(rng, step_input=False)
-
-
-def test_bellman_gradient_matches_finite_differences_step_aware(rng):
-    # the step reaches a step-aware scorer through bellman_loss(..., t=)
-    check_bellman_fd(rng, step_input=True)
 
 
 def test_bellman_descent_under_adam(rng):

@@ -232,6 +232,22 @@ def test_zero_alpha_equals_regression_only(corpus):
     assert any(math.isfinite(r.l3) for r in a.telemetry)
 
 
+def test_joint_update_order(corpus):
+    # one joint iteration with a zero-head scorer: updated after the
+    # enhancer, the scorer's action gradient is exactly zero, so the
+    # enhancer moves as in the regression-only run; updated first, it is not
+    from dataclasses import replace
+    cfg = replace(MICRO, n_th=6, n_total=7, alpha=5.0)
+    elbo = train(replace(cfg, elbo_only=True), corpus).params_d.flat
+    d_first = train(replace(cfg, update_v_first=False), corpus)
+    v_first = train(replace(cfg, update_v_first=True), corpus)
+    assert np.array_equal(d_first.params_d.flat, elbo)
+    assert not np.array_equal(v_first.params_d.flat, elbo)
+    assert d_first.telemetry[-1].l2 == 0.0
+    # the zero head also zeroes the bootstrap tail: both orders fit V alike
+    assert np.array_equal(d_first.params_v.flat, v_first.params_v.flat)
+
+
 def test_all_joint_and_all_warmup_edges(corpus):
     from dataclasses import replace
     res = train(replace(MICRO, n_total=4, n_th=0), corpus)
@@ -363,10 +379,16 @@ def test_checkpoint_corruption_detected(tmp_path, corpus):
     (v2 / "checkpoint").mkdir(parents=True)
     (v2 / "checkpoint" / "manifest.txt").write_text(
         "format = mose-checkpoint-2\n")
-    with pytest.raises(CheckpointError, match="mose-checkpoint-3"):
+    with pytest.raises(CheckpointError, match="mose-checkpoint-4"):
         checkpoint_load(str(v2 / "checkpoint"))
     with pytest.raises(CheckpointError, match="is a directory"):
         train(MICRO, corpus, out_dir=v2)
+
+    # a format-3 file, the same but with a critic_step_input line: refused
+    v3 = reseal(blob.replace(b"mose-checkpoint-4", b"mose-checkpoint-3")
+                .replace(b"update_v_first = ",
+                         b"critic_step_input = false\nupdate_v_first = "))
+    refused(v3, "unknown format .*mose-checkpoint-3")
 
     # the format stores float32 only; a wider state is refused, not rounded
     wide = replace(good, params_d=ParamSet(good.params_d.manifest,
