@@ -225,7 +225,13 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None,
 
     x: (B, C, L), w: (O, C, K), b: (O,) or None.  Output length is
     ceil(L / stride); padding is chosen so every output sample has a full
-    kernel footprint over the padded input.
+    kernel footprint over the padded input.  Only an input that needs
+    padding is copied; width-1, stride-1 kernels read ``x`` in place.
+
+    The taps accumulate one matmul at a time, tap 0 first, in both the
+    forward and the gradient.  That fixed float summation order is what
+    keeps a batched walk bit-equal to walking each row alone, and a rerun
+    or resumed training run bit-equal to the straight one.
     """
     B, C, L = x.value.shape
     O, C2, K = w.value.shape
@@ -235,24 +241,31 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None,
     l_out = -(-L // stride)
     pad_total = max(0, (l_out - 1) * stride + span - L)
     pl = pad_total // 2
-    pr = pad_total - pl
-    xp = np.pad(x.value, ((0, 0), (0, 0), (pl, pr)))
+    if pad_total:
+        xp = np.zeros((B, C, L + pad_total), dtype=x.value.dtype)
+        xp[:, :, pl: pl + L] = x.value
+    else:
+        xp = x.value
     stop = (l_out - 1) * stride + 1
     segs = [xp[:, :, k * dilation: k * dilation + stop: stride] for k in range(K)]
     out = np.matmul(w.value[:, :, 0], segs[0])
     for k in range(1, K):
         out += np.matmul(w.value[:, :, k], segs[k])
     if b is not None:
-        out = out + b.value[:, None]
+        out += b.value[:, None]
 
     def grad_fn(g):
-        dxp = np.zeros_like(xp)
-        dw = np.zeros_like(w.value)
+        dw = np.empty_like(w.value)
         for k in range(K):
             dw[:, :, k] = np.matmul(g, segs[k].transpose(0, 2, 1)).sum(axis=0)
-            dxp[:, :, k * dilation: k * dilation + stop: stride] += \
-                np.matmul(w.value[:, :, k].T, g)
-        dx = dxp[:, :, pl: pl + L]
+        if K == 1 and stride == 1:
+            dx = np.matmul(w.value[:, :, 0].T, g)
+        else:
+            dxp = np.zeros_like(xp)
+            for k in range(K):
+                dxp[:, :, k * dilation: k * dilation + stop: stride] += \
+                    np.matmul(w.value[:, :, k].T, g)
+            dx = dxp[:, :, pl: pl + L]
         if b is None:
             return dx, dw
         return dx, dw, g.sum(axis=(0, 2))

@@ -276,7 +276,9 @@ class TrainState:
 
 def checkpoint_save(path, state: TrainState) -> None:
     """Write ``state`` to the file ``path`` through a synced sibling temp
-    file renamed over it, so ``path`` is always a whole checkpoint."""
+    file renamed over it, so ``path`` is always a whole checkpoint.  The
+    directory is synced after the rename, so a power loss cannot bring
+    back the previous checkpoint."""
     lines = [f"iteration = {state.iteration}",
              f"adam_d_step = {state.adam_d.step}",
              f"adam_v_step = {state.adam_v.step}",
@@ -302,6 +304,11 @@ def checkpoint_save(path, state: TrainState) -> None:
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+    dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def checkpoint_load(path) -> TrainState:

@@ -187,11 +187,16 @@ def conv_ref(x, w, b, stride, dilation):
     return out
 
 
-@pytest.mark.parametrize("stride,dilation,L", [(1, 1, 9), (2, 1, 10),
-                                               (1, 3, 12), (4, 2, 11)])
-def test_conv1d_forward_matches_bruteforce(rng, stride, dilation, L):
+@pytest.mark.parametrize("stride,dilation,L,K", [
+    pytest.param(1, 1, 9, 3, id="1-1-9"),
+    pytest.param(2, 1, 10, 3, id="2-1-10"),
+    pytest.param(1, 3, 12, 3, id="1-3-12"),
+    pytest.param(4, 2, 11, 3, id="4-2-11"),
+    pytest.param(1, 1, 9, 1, id="width1-1-1-9"),
+    pytest.param(4, 1, 13, 5, id="width5-4-1-13")])
+def test_conv1d_forward_matches_bruteforce(rng, stride, dilation, L, K):
     x = rng.standard_normal((2, 3, L))
-    w = rng.standard_normal((4, 3, 3))
+    w = rng.standard_normal((4, 3, K))
     b = rng.standard_normal(4)
     got = ad.conv1d(ad.const(x), ad.const(w), ad.const(b),
                     stride=stride, dilation=dilation).value
@@ -200,13 +205,90 @@ def test_conv1d_forward_matches_bruteforce(rng, stride, dilation, L):
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("stride,dilation", [(1, 1), (2, 1), (1, 2), (3, 2)])
-def test_conv1d_gradient(rng, stride, dilation):
+@pytest.mark.parametrize("stride,dilation,K", [
+    pytest.param(1, 1, 3, id="1-1"),
+    pytest.param(2, 1, 3, id="2-1"),
+    pytest.param(1, 2, 3, id="1-2"),
+    pytest.param(3, 2, 3, id="3-2"),
+    pytest.param(1, 1, 1, id="width1-1-1"),
+    pytest.param(4, 1, 5, id="width5-4-1")])
+def test_conv1d_gradient(rng, stride, dilation, K):
     def build(flat):
-        x, w, b = split_leaves(flat, [(2, 2, 8), (3, 2, 3), (3,)])
+        x, w, b = split_leaves(flat, [(2, 2, 8), (3, 2, K), (3,)])
         out = ad.conv1d(x, w, b, stride=stride, dilation=dilation)
         return ad.mean_all(ad.square(out)), [x, w, b]
-    check_op(build, 32 + 18 + 3, rng)
+    check_op(build, 32 + 6 * K + 3, rng)
+
+
+def conv_tapwise_ref(x, w, b, stride, dilation, g):
+    """The padded-copy formulation conv1d must match bit for bit.
+
+    np.pad the input, then one matmul per tap accumulated in tap order;
+    the gradient loops over the taps into a zero-filled padded scratch.
+    Returns the output and the gradients of x, w and b (None without b).
+    """
+    _, _, L = x.shape
+    K = w.shape[2]
+    span = dilation * (K - 1) + 1
+    l_out = -(-L // stride)
+    pad_total = max(0, (l_out - 1) * stride + span - L)
+    pl = pad_total // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pl, pad_total - pl)))
+    stop = (l_out - 1) * stride + 1
+    segs = [xp[:, :, k * dilation: k * dilation + stop: stride]
+            for k in range(K)]
+    out = np.matmul(w[:, :, 0], segs[0])
+    for k in range(1, K):
+        out += np.matmul(w[:, :, k], segs[k])
+    if b is not None:
+        out = out + b[:, None]
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for k in range(K):
+        dw[:, :, k] = np.matmul(g, segs[k].transpose(0, 2, 1)).sum(axis=0)
+        dxp[:, :, k * dilation: k * dilation + stop: stride] += \
+            np.matmul(w[:, :, k].T, g)
+    db = None if b is None else g.sum(axis=(0, 2))
+    return out, dxp[:, :, pl: pl + L], dw, db
+
+
+@pytest.mark.parametrize("c_in,c_out,K,stride,dilation,L,bias", [
+    (2, 12, 1, 1, 1, 512, True),     # enhancer in_proj
+    (12, 12, 1, 1, 1, 512, True),    # enhancer mix
+    (12, 1, 1, 1, 1, 512, True),     # enhancer out_proj
+    (12, 12, 3, 1, 1, 512, True),    # enhancer dconv, dilations 1-8
+    (12, 12, 3, 1, 2, 512, True),
+    (12, 12, 3, 1, 4, 512, True),
+    (12, 12, 3, 1, 8, 512, True),
+    (3, 16, 5, 4, 1, 512, True),     # critic enc0
+    (16, 16, 5, 4, 1, 128, True),    # critic enc1
+    (12, 12, 3, 1, 2, 512, False),
+    (12, 12, 1, 2, 1, 512, False),   # unpadded but strided
+])
+def test_conv1d_bits_match_the_tapwise_reference(rng, c_in, c_out, K, stride,
+                                                 dilation, L, bias):
+    # the float summation order of every output and gradient is unchanged,
+    # which the bit-exact guarantees of training and the walks rest on
+    def f32(*shape):
+        return rng.standard_normal(shape).astype(np.float32)
+
+    xv, wv, bv = f32(4, c_in, L), f32(c_out, c_in, K), f32(c_out)
+    g = f32(4, c_out, -(-L // stride))
+    x, w = ad.leaf(xv.copy()), ad.leaf(wv)
+    b = ad.leaf(bv) if bias else None
+    out = ad.conv1d(x, w, b, stride=stride, dilation=dilation)
+    grads = out._grad_fn(g)
+    want_out, *want_grads = conv_tapwise_ref(xv, wv, bv if bias else None,
+                                             stride, dilation, g)
+    assert out.value.dtype == np.float32
+    assert np.array_equal(out.value, want_out)
+    assert len(grads) == (3 if bias else 2)
+    for got, want in zip(grads, want_grads):
+        assert got.dtype == np.float32
+        assert np.array_equal(got, want)
+    # reading x in place must leave it alone
+    assert np.array_equal(x.value, xv)
+    assert not np.shares_memory(out.value, x.value)
 
 
 def test_conv1d_channel_mismatch():

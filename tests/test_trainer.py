@@ -5,6 +5,7 @@ import hashlib
 import math
 import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -396,6 +397,30 @@ def test_checkpoint_corruption_detected(tmp_path, corpus):
                                                np.float64)))
     with pytest.raises(CheckpointError, match="float32"):
         trainer.checkpoint_save(str(tmp_path / "wide"), wide)
+
+
+def test_checkpoint_save_syncs_the_directory_after_the_rename(
+        tmp_path, corpus, monkeypatch):
+    # the rename is durable only once the directory is synced; before that a
+    # power loss may bring back the previous checkpoint
+    state = train(MICRO, corpus).state
+    path = tmp_path / "checkpoint"
+    real_fsync = os.fsync
+    synced = []
+
+    def recording_fsync(fd):
+        st = os.fstat(fd)
+        synced.append((stat.S_ISDIR(st.st_mode),
+                       os.path.samestat(st, os.stat(tmp_path)),
+                       path.exists(), os.path.exists(f"{path}.tmp")))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    trainer.checkpoint_save(path, state)
+    monkeypatch.undo()
+    # the temp file's data first, then the directory holding the renamed file
+    assert synced == [(False, False, False, True), (True, True, True, False)]
+    assert checkpoint_load(path).iteration == state.iteration
 
 
 class Torn(Exception):
