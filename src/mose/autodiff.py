@@ -40,23 +40,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.value.shape}, track={self.track})"
 
-    # light operator sugar; scalar multiplication is the common case
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __mul__(self, s):
-        if isinstance(s, Tensor):
-            return mul(self, s)
-        return scale(self, float(s))
-
-    __rmul__ = __mul__
-
 
 def const(x) -> Tensor:
     return Tensor(np.asarray(x))
@@ -209,11 +192,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
         out = out + b.value
 
     def grad_fn(g):
-        dx = g @ w.value.T
-        dw = x.value.T @ g
+        dx = g @ w.value.T if x.track else None
+        dw = x.value.T @ g if w.track else None
         if b is None:
             return dx, dw
-        return dx, dw, g.sum(axis=0)
+        return dx, dw, g.sum(axis=0) if b.track else None
 
     parents = (x, w) if b is None else (x, w, b)
     return Tensor(out, parents, grad_fn)
@@ -226,7 +209,8 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None,
     x: (B, C, L), w: (O, C, K), b: (O,) or None.  Output length is
     ceil(L / stride); padding is chosen so every output sample has a full
     kernel footprint over the padded input.  Only an input that needs
-    padding is copied; width-1, stride-1 kernels read ``x`` in place.
+    padding is copied; width-1, stride-1 kernels read ``x`` in place.  The
+    gradient skips untracked operands.
 
     The taps accumulate one matmul at a time, tap 0 first, in both the
     forward and the gradient.  That fixed float summation order is what
@@ -255,12 +239,15 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None,
         out += b.value[:, None]
 
     def grad_fn(g):
-        dw = np.empty_like(w.value)
-        for k in range(K):
-            dw[:, :, k] = np.matmul(g, segs[k].transpose(0, 2, 1)).sum(axis=0)
-        if K == 1 and stride == 1:
+        dx = dw = None
+        if w.track:
+            dw = np.empty_like(w.value)
+            for k in range(K):
+                dw[:, :, k] = np.matmul(
+                    g, segs[k].transpose(0, 2, 1)).sum(axis=0)
+        if x.track and K == 1 and stride == 1:
             dx = np.matmul(w.value[:, :, 0].T, g)
-        else:
+        elif x.track:
             dxp = np.zeros_like(xp)
             for k in range(K):
                 dxp[:, :, k * dilation: k * dilation + stop: stride] += \
@@ -268,7 +255,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None,
             dx = dxp[:, :, pl: pl + L]
         if b is None:
             return dx, dw
-        return dx, dw, g.sum(axis=(0, 2))
+        return dx, dw, g.sum(axis=(0, 2)) if b.track else None
 
     parents = (x, w) if b is None else (x, w, b)
     return Tensor(out, parents, grad_fn)

@@ -38,53 +38,49 @@ def _check_pair(candidate, reference):
     return c, r
 
 
-def si_snr(candidate, reference, clip_db: tuple[float, float] = (-40.0, 60.0)) -> float:
+def _clipped_db(num, den) -> float:
+    """10 log10(num / den), clipped to [-40, 60] dB so that pathological
+    inputs stay bounded."""
+    if den == 0.0:
+        return 60.0
+    if num == 0.0:
+        return -40.0
+    return min(60.0, max(-40.0, 10.0 * math.log10(num / den)))
+
+
+def si_snr(candidate, reference) -> float:
     """Scale-invariant SNR: project onto the reference, compare energies.
 
     Invariant to any positive rescaling of the candidate.  Clipped to
-    ``clip_db`` so pathological inputs stay bounded.
+    [-40, 60] dB.
     """
     c, r = _check_pair(candidate, reference)
-    lo, hi = clip_db
     ref_pow = float(np.dot(r, r))
     if ref_pow == 0.0:
         raise MetricError("si_snr: reference has zero power")
     scale = float(np.dot(c, r)) / ref_pow
     target = scale * r
     err = c - target
-    num = float(np.dot(target, target))
-    den = float(np.dot(err, err))
-    if den == 0.0:
-        return hi
-    if num == 0.0:
-        return lo
-    return min(hi, max(lo, 10.0 * math.log10(num / den)))
+    return _clipped_db(float(np.dot(target, target)), float(np.dot(err, err)))
 
 
-def seg_snr(candidate, reference, frame: int = 256,
-            clip_db: tuple[float, float] = (-40.0, 60.0)) -> float:
-    """Mean of per-frame SNR in dB, each frame clipped to ``clip_db``.
+def seg_snr(candidate, reference) -> float:
+    """Mean of per-frame SNR in dB over 256-sample frames, each frame
+    clipped to [-40, 60] dB.
 
     Trailing samples that do not fill a frame are ignored.
     """
     c, r = _check_pair(candidate, reference)
-    if frame <= 0 or frame > c.size:
-        raise MetricError(f"seg_snr: frame {frame} invalid for length {c.size}")
-    lo, hi = clip_db
+    frame = 256
+    if c.size < frame:
+        raise MetricError(f"seg_snr: a {frame}-sample frame does not fit "
+                          f"in length {c.size}")
     n = c.size // frame
     rf = r[: n * frame].reshape(n, frame)
     cf = c[: n * frame].reshape(n, frame)
     num = np.sum(np.square(rf), axis=1)
     den = np.sum(np.square(rf - cf), axis=1)
-    vals = np.empty(n)
-    for i in range(n):
-        if den[i] == 0.0:
-            vals[i] = hi
-        elif num[i] == 0.0:
-            vals[i] = lo
-        else:
-            vals[i] = min(hi, max(lo, 10.0 * math.log10(num[i] / den[i])))
-    return float(np.mean(vals))
+    return float(np.mean([_clipped_db(a, b) for a, b in zip(num, den)]))
 
 
 def neg_mse(candidate, reference) -> float:

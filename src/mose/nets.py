@@ -137,20 +137,16 @@ class _TapeNet:
 
 
 class DiffusionNet(_TapeNet):
-    """Context-windowed noise predictor over (latent, conditioner) pairs."""
+    """Context-windowed noise predictor over (latent, conditioner) pairs;
+    block i's kernel is dilated by 2**i."""
 
     head = frozenset({"out_proj.w", "out_proj.b"})
 
     def __init__(self, channels: int = 16, blocks: int = 4, kernel: int = 3,
-                 dilations=None, emb_dim: int = 16, max_time: float = 200.0):
-        if dilations is None:
-            dilations = [2 ** i for i in range(blocks)]
-        if len(dilations) != blocks:
-            raise ValueError("need one dilation per block")
+                 emb_dim: int = 16, max_time: float = 200.0):
         self.channels = channels
         self.blocks = blocks
         self.kernel = kernel
-        self.dilations = list(dilations)
         self.embedding = StepEmbedding(emb_dim, max_time)
         m = [("in_proj.w", (channels, 2, 1)), ("in_proj.b", (channels,))]
         for i in range(blocks):
@@ -173,10 +169,10 @@ class DiffusionNet(_TapeNet):
         h = ad.conv1d(ad.stack_channels(ad.const(x_t), ad.const(y)),
                       p["in_proj.w"], p["in_proj.b"])
         h = ad.relu(h)
-        for i, dil in enumerate(self.dilations):
+        for i in range(self.blocks):
             cond = ad.linear(embt, p[f"block{i}.emb.w"], p[f"block{i}.emb.b"])
             u = ad.conv1d(h, p[f"block{i}.dconv.w"], p[f"block{i}.dconv.b"],
-                          dilation=dil)
+                          dilation=2 ** i)
             u = ad.add(u, ad.expand_time(cond))
             u = ad.relu(u)
             u = ad.conv1d(u, p[f"block{i}.mix.w"], p[f"block{i}.mix.b"])
@@ -238,22 +234,23 @@ class AdamState:
         return cls(np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
-def adam_step(params: ParamSet, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> ParamSet:
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(params: ParamSet, state: AdamState, lr: float) -> ParamSet:
     """One Adam update in place; zeroes the gradient buffer afterwards."""
     g = params.grad
     if not np.all(np.isfinite(g)):
         raise DivergenceError("non-finite gradients; aborting the update")
     state.step += 1
-    state.m *= beta1
-    state.m += (1.0 - beta1) * g
-    state.v *= beta2
-    state.v += (1.0 - beta2) * np.square(g)
-    bc1 = 1.0 - beta1 ** state.step
-    bc2 = 1.0 - beta2 ** state.step
+    state.m *= _BETA1
+    state.m += (1.0 - _BETA1) * g
+    state.v *= _BETA2
+    state.v += (1.0 - _BETA2) * np.square(g)
+    bc1 = 1.0 - _BETA1 ** state.step
+    bc2 = 1.0 - _BETA2 ** state.step
     m_hat = state.m / bc1
     v_hat = state.v / bc2
-    params.flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    params.flat -= lr * m_hat / (np.sqrt(v_hat) + _EPS)
     params.zero_grad()
     return params

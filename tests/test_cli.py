@@ -234,10 +234,13 @@ def test_train_resume_flow(work, tmp_path):
     rc = main(["train", "--config", str(cfg),
                "--data", str(work["manifest"]), "--out", str(out)])
     assert rc == 0
-    rc = main(["train", "--config", str(cfg),
-               "--data", str(work["manifest"]), "--out", str(out),
-               "--resume", str(out / "checkpoint")])
-    assert rc == 0
+    resume = ["train", "--config", str(cfg), "--data", str(work["manifest"]),
+              "--out", str(out), "--resume", str(out / "checkpoint")]
+    assert main(resume) == 0
+    # telemetry that lost rows the checkpoint covers is refused
+    tele = out / "telemetry.csv"
+    tele.write_text("".join(tele.read_text().splitlines(True)[:-1]))
+    assert main(resume) == 3
 
 
 def test_exit_code_2_on_bad_config(work, tmp_path):

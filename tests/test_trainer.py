@@ -423,6 +423,57 @@ def test_checkpoint_save_syncs_the_directory_after_the_rename(
     assert checkpoint_load(path).iteration == state.iteration
 
 
+def test_telemetry_is_synced_before_each_checkpoint_save(tmp_path, corpus,
+                                                        monkeypatch):
+    # a checkpoint that survives a power loss must find its telemetry rows
+    # on disk: the file is synced through the checkpoint's iteration first
+    from dataclasses import replace
+    cfg = replace(MICRO, n_total=24, n_th=12)
+    tele = tmp_path / "telemetry.csv"
+    real_fsync = os.fsync
+    synced = []
+
+    def recording_fsync(fd):
+        st = os.fstat(fd)
+        if stat.S_ISDIR(st.st_mode):
+            synced.append("dir")
+        elif os.path.samestat(st, os.stat(tele)):
+            rows = read_telemetry_csv(tele)
+            synced.append(rows[-1].iter if rows else 0)
+        else:
+            synced.append("checkpoint")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    train(cfg, corpus, out_dir=tmp_path, checkpoint_every=10)
+    monkeypatch.undo()
+    assert synced == [0, 10, "checkpoint", "dir", 20, "checkpoint", "dir",
+                      24, "checkpoint", "dir"]
+
+
+def test_resume_refuses_telemetry_behind_the_checkpoint(tmp_path, corpus):
+    # rows the checkpoint covers are gone: resuming would leave a silent gap
+    from dataclasses import replace
+    cfg = replace(MICRO, n_total=24, n_th=12)
+
+    def bomb(i, pd, pv):
+        if i == 15:
+            raise Stop()
+
+    with pytest.raises(Stop):
+        train(cfg, corpus, out_dir=tmp_path, checkpoint_every=10,
+              iter_callback=bomb)
+    tele = tmp_path / "telemetry.csv"
+    lines = tele.read_text().splitlines(keepends=True)
+    assert lines[-1].startswith("10,")
+    lagging = "".join(lines[:-1])
+    tele.write_text(lagging)
+    with pytest.raises(CheckpointError, match="iteration 9, before"):
+        train(cfg, corpus, out_dir=tmp_path,
+              resume=str(tmp_path / "checkpoint"))
+    assert tele.read_text() == lagging
+
+
 class Torn(Exception):
     pass
 
@@ -508,6 +559,26 @@ def test_evaluate_scores_do_not_depend_on_batch_composition():
                              m.evaluate(pair.y, pair.x0),
                              m.evaluate(xhat, pair.x0)) for m in metrics]
         assert rep.rows == want
+
+
+def test_walk_outputs_do_not_depend_on_the_block_size(monkeypatch):
+    # 20 signals of 512 samples walk 1, 8 or 16 rows at a time
+    sched = build_schedule(6, 0.05, 0.3)
+    signals = [p.y for p in synth_corpus(seed=9, n_utterances=20, length=512,
+                                         snr_levels=[0.0, 10.0])]
+    dnet, _ = build_nets(MICRO)
+    params = dnet.init_params(np.random.default_rng(0), zero_head=False)
+    betas = default_fast_schedule(sched, 4)
+    outputs = []
+    for block in (512, 4096, 8192):
+        monkeypatch.setattr(trainer, "_WALK_BLOCK_SAMPLES", block)
+        outputs.append([
+            row.tobytes() for ladder in (None, betas)
+            for row in trainer.enhance_all(
+                dnet, params, signals,
+                [np.random.default_rng(k) for k in range(len(signals))],
+                sched, ladder)])
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_evaluate_validation(corpus):
