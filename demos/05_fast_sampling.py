@@ -21,7 +21,6 @@ cfg = TrainConfig(
     steps=16, beta_min=0.01, beta_max=0.12,
     d_channels=8, d_blocks=3, d_kernel=3,
     v_channels=8, v_kernel=5, v_mlp_width=16, emb_dim=8,
-    elbo_only=True,
 )
 pairs = synth_corpus(seed=5, n_utterances=8, length=512,
                      snr_levels=[0.0, 5.0, 10.0], split="train")

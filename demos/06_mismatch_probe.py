@@ -27,7 +27,7 @@ pairs = synth_corpus(seed=5, n_utterances=12, length=512,
                      snr_levels=[0.0, 5.0, 10.0], split="train")
 
 print("training the regression-only twin...")
-elbo = train(replace(base, elbo_only=True), pairs)
+elbo = train(replace(base, alpha=0.0), pairs)
 print("training the metric-driven twin...")
 metric = train(base, pairs)
 

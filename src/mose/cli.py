@@ -33,9 +33,9 @@ from .schedule import build_schedule, dump_table
 from .signals import load_corpus, synth_corpus, wav_read, wav_write, write_corpus
 from .trainer import (TrainConfig, build_dnet, checkpoint_load, config_hash,
                       config_to_text, enhance_all, evaluate,
-                      mismatch_experiment, parse_config_file, run_inputs,
-                      train, write_comparison_csv, write_eval_csv,
-                      write_mismatch_csv)
+                      mismatch_experiment, parse_config_file, resume_state,
+                      run_inputs, train, write_comparison_csv,
+                      write_eval_csv, write_mismatch_csv)
 
 _EXIT_BY_ERROR = ((ConfigError, 2), (ScheduleError, 2), (AlignmentError, 2),
                   (MetricError, 2), (CheckpointError, 3), (DataError, 3),
@@ -130,9 +130,10 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     corpus = _split_pairs(args.data, "train")
     run_inputs(cfg, corpus)  # refuse a bad run before --out gets a file
-    out = _prepare_out(args.out, args.force or args.resume is not None)
+    resume = None if args.resume is None else resume_state(cfg, args.resume)
+    out = _prepare_out(args.out, args.force or resume is not None)
     _write_run_manifest(out, "train", cfg, {"data": args.data})
-    res = train(cfg, corpus, out_dir=out, resume=args.resume,
+    res = train(cfg, corpus, out_dir=out, resume=resume,
                 checkpoint_every=args.checkpoint_every)
     last = res.telemetry[-1] if res.telemetry else None
     tail = f", final l1 {last.l1:.5g}" if last else ""
@@ -214,9 +215,7 @@ def cmd_eval(args) -> int:
                        fast_betas=fast, seed=args.seed)
         label = os.path.basename(os.path.normpath(ckpt)) or ckpt
         if len(args.ckpt) > 1:
-            # regression-only runs are the alpha = 0 system
-            a = 0.0 if st.config.elbo_only else st.config.alpha
-            label = f"alpha={a:g}"
+            label = f"alpha={st.config.alpha:g}"
         while label in reports:
             label += "'"
         reports[label] = rep
@@ -235,16 +234,12 @@ def cmd_eval(args) -> int:
 
 def cmd_mismatch(args) -> int:
     split = _split_pairs(args.data, args.split)[: args.n]
-    out = _prepare_out(args.out, args.force)
     st_e, dnet, sched = _load_model(args.ckpt_elbo)
-    st_m, _, sched_m = _load_model(args.ckpt_metric)
-    if config_hash(st_e.config) != config_hash(st_m.config):
-        # the two models must share a chain and architecture; alpha may differ
-        base_e = replace(st_e.config, alpha=0.0, elbo_only=False)
-        base_m = replace(st_m.config, alpha=0.0, elbo_only=False)
-        if config_to_text(base_e) != config_to_text(base_m):
-            raise ConfigError("checkpoints differ beyond alpha/elbo_only; "
-                              "the probe needs a shared chain and nets")
+    st_m = checkpoint_load(args.ckpt_metric)
+    if replace(st_m.config, alpha=st_e.config.alpha) != st_e.config:
+        raise ConfigError("checkpoints differ beyond alpha; the probe needs "
+                          "a shared chain and nets")
+    out = _prepare_out(args.out, args.force)
     res = mismatch_experiment(dnet, st_e.params_d, st_m.params_d, split,
                               sched, get_metric(args.reward_metric),
                               get_metric(args.report_metric), seed=args.seed)

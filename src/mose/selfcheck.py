@@ -251,35 +251,36 @@ def c5_telescoping_gap() -> float:
 
 
 C6_CONFIG = TrainConfig(n_total=50, n_th=25, batch=2, seed=4, steps=8,
-                        beta_min=0.02, beta_max=0.22, alpha=0.0,
-                        lr_v=1e-4, d_channels=4, d_blocks=2, d_kernel=3,
-                        v_channels=8, v_kernel=5, v_mlp_width=8, emb_dim=4)
+                        beta_min=0.02, beta_max=0.22, lr_v=1e-4,
+                        d_channels=4, d_blocks=2, d_kernel=3, v_channels=8,
+                        v_kernel=5, v_mlp_width=8, emb_dim=4)
 
 
 def c6_phase_discipline() -> tuple[int, bool, bool, bool]:
-    """Trains ``C6_CONFIG`` (alpha = 0) and its regression-only twin; returns
-    (last iteration with the scorer still at its first value, whether it
-    moved after n_th, same enhancer parameters, same l1 telemetry)."""
+    """Trains ``C6_CONFIG`` and its alpha = 0 twin cut at n_th; returns (last
+    iteration with the scorer still at its first value, whether it moved
+    after n_th, same enhancer parameters at n_th, same l1 telemetry)."""
     cfg = C6_CONFIG
     corpus = synth_corpus(seed=21, n_utterances=4, length=256,
                           snr_levels=[0.0, 10.0])
 
-    snapshots = {}
+    v_at, d_at = {}, {}
 
     def capture(i, params_d, params_v):
-        snapshots[i] = params_v.flat.copy()
+        v_at[i], d_at[i] = params_v.flat.copy(), params_d.flat.copy()
 
     res = train(cfg, corpus, iter_callback=capture)
-    v0 = snapshots[1]
-    frozen_through = max(i for i in snapshots
-                         if all(np.array_equal(snapshots[j], v0)
+    v0 = v_at[1]
+    frozen_through = max(i for i in v_at
+                         if all(np.array_equal(v_at[j], v0)
                                 for j in range(1, i + 1)))
-    moved_after = any(not np.array_equal(snapshots[i], v0)
-                      for i in snapshots if i > cfg.n_th)
+    moved_after = any(not np.array_equal(v_at[i], v0)
+                      for i in v_at if i > cfg.n_th)
 
-    ref = train(replace(cfg, elbo_only=True), corpus)
-    same_params = np.array_equal(res.params_d.flat, ref.params_d.flat)
-    same_l1 = [r.l1 for r in res.telemetry] == [r.l1 for r in ref.telemetry]
+    ref = train(replace(cfg, alpha=0.0, n_total=cfg.n_th), corpus)
+    same_params = np.array_equal(d_at[cfg.n_th], ref.params_d.flat)
+    same_l1 = [r.l1 for r in res.telemetry[:cfg.n_th]] == \
+        [r.l1 for r in ref.telemetry]
     return frozen_through, moved_after, same_params, same_l1
 
 
@@ -382,8 +383,8 @@ def run_selfcheck() -> list[tuple[str, bool, str]]:
                     frozen >= C6_CONFIG.n_th and moved and same_params
                     and same_l1,
                     f"scorer frozen through {frozen} (threshold "
-                    f"{C6_CONFIG.n_th}), moved after: {moved}, alpha=0 equals "
-                    f"regression-only: {same_params and same_l1}"))
+                    f"{C6_CONFIG.n_th}), moved after: {moved}, phase 1 equals "
+                    f"the alpha=0 run's: {same_params and same_l1}"))
 
     with tempfile.TemporaryDirectory(prefix="mose-c9-") as tmp:
         interrupted, same, n_rows = c9_replay_and_resume(tmp)

@@ -38,7 +38,7 @@ from .nets import AdamState, DiffusionNet, ParamSet, ValueNet, adam_step
 from .schedule import NoiseSchedule, build_schedule
 from .signals import SignalPair
 
-_CKPT_FORMAT = "mose-checkpoint-4"
+_CKPT_FORMAT = "mose-checkpoint-5"
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class TrainConfig:
     n_total: int = 4000        # total iterations
     n_th: int = 3000           # iterations of pure regression warm-up
     gamma: float = 0.95        # discount for bootstrapped targets
-    alpha: float = 1.0         # weight of the actor term
+    alpha: float = 1.0         # weight of the actor term; 0 skips the scorer
     lr_d: float = 2e-4         # enhancer learning rate, phase 1
     lr_d_joint: float = 1e-4   # enhancer learning rate, phase 2
     lr_v: float = 1e-5         # scorer learning rate
@@ -59,7 +59,6 @@ class TrainConfig:
     beta_max: float = 0.035
     metric: str = "si_snr"     # reward metric name
     metric_cmd: str = ""       # external scorer command template, optional
-    elbo_only: bool = False    # regression-only baseline, no scorer at all
     update_v_first: bool = True  # critic before enhancer in a joint iteration
     d_channels: int = 16
     d_blocks: int = 4
@@ -76,10 +75,10 @@ class TrainConfig:
             raise ConfigError("need 0 <= n_th <= n_total")
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigError("gamma must lie in [0, 1)")
-        if self.alpha < 0.0:
+        if not self.alpha >= 0.0:  # NaN too
             raise ConfigError("alpha must be >= 0")
         for name in ("lr_d", "lr_d_joint", "lr_v"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:  # NaN too
                 raise ConfigError(f"{name} must be > 0")
         if self.batch < 1:
             raise ConfigError("batch must be >= 1")
@@ -88,9 +87,11 @@ class TrainConfig:
         if not 0.0 < self.beta_min <= self.beta_max < 1.0:
             raise ConfigError("need 0 < beta_min <= beta_max < 1")
         for name in ("d_channels", "d_blocks", "d_kernel", "v_channels",
-                     "v_kernel", "v_mlp_width", "emb_dim"):
+                     "v_kernel", "v_mlp_width"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.emb_dim < 2 or self.emb_dim % 2:
+            raise ConfigError("emb_dim must be an even integer >= 2")
 
 
 def config_to_text(cfg: TrainConfig) -> str:
@@ -362,6 +363,11 @@ def checkpoint_load(path) -> TrainState:
     if len(warm_l1) != min(iteration, _GUARD_WINDOW):
         raise CheckpointError(f"{path}: {len(warm_l1)} warm-up losses at "
                               f"iteration {iteration}")
+    dnet, vnet = build_nets(cfg)
+    if params["d"].manifest != dnet.manifest or \
+            params["v"].manifest != vnet.manifest:
+        raise CheckpointError(f"{path}: layer manifest does not match the "
+                              "networks of its config")
     return TrainState(cfg, iteration, params["d"], params["v"], adam["d"],
                       adam["v"], rng, warm_l1)
 
@@ -383,6 +389,18 @@ class TrainResult:
     iteration = property(lambda self: self.state.iteration)
     params_d = property(lambda self: self.state.params_d)
     params_v = property(lambda self: self.state.params_v)
+
+
+def resume_state(cfg: TrainConfig, resume) -> TrainState:
+    """``resume``, a state or the checkpoint file it names, refused with
+    ``CheckpointError`` unless ``cfg`` produced it."""
+    state = resume if isinstance(resume, TrainState) \
+        else checkpoint_load(resume)
+    if config_hash(state.config) != config_hash(cfg):
+        raise CheckpointError(
+            "checkpoint was produced by a different config "
+            f"({config_hash(state.config)} != {config_hash(cfg)})")
+    return state
 
 
 def run_inputs(cfg: TrainConfig, corpus: list[SignalPair]):
@@ -426,16 +444,7 @@ def train(cfg: TrainConfig, corpus: list[SignalPair], out_dir=None,
                            AdamState.fresh(params_d),
                            AdamState.fresh(params_v), rng, [])
     else:
-        state = resume if isinstance(resume, TrainState) \
-            else checkpoint_load(resume)
-        if config_hash(state.config) != config_hash(cfg):
-            raise CheckpointError(
-                "checkpoint was produced by a different config "
-                f"({config_hash(state.config)} != {config_hash(cfg)})")
-        if state.params_d.manifest != dnet.manifest or \
-                state.params_v.manifest != vnet.manifest:
-            raise CheckpointError("checkpoint layer manifest does not match "
-                                  "the configured networks")
+        state = resume_state(cfg, resume)
 
     telemetry = []
     if out_dir is not None:
@@ -499,14 +508,14 @@ def _update(state: TrainState, i: int, sched, dnet, vnet, metric, x_t, yb,
     """Iteration ``i``'s updates and its telemetry row.
 
     The enhancer takes one Adam step on the L1 loss, plus ``alpha`` times
-    the actor loss in the joint phase; a joint iteration also updates the
-    scorer on the executed action, before or after the enhancer as
-    ``update_v_first`` says.  The iteration's tapes, with every
-    intermediate array and gradient, are freed on return.
+    the actor loss in the joint phase, which only ``alpha`` > 0 has; a joint
+    iteration also updates the scorer on the executed action, before or
+    after the enhancer as ``update_v_first`` says.  The iteration's tapes,
+    with every intermediate array and gradient, are freed on return.
     """
     cfg = state.config
     phase1 = i <= cfg.n_th
-    joint = not (phase1 or cfg.elbo_only)
+    joint = not phase1 and cfg.alpha > 0
     pred = dnet.forward(state.params_d, x_t, yb, t_arr, params_tracked=True)
     critic = (math.nan,) * 3
     if joint and cfg.update_v_first:
@@ -676,20 +685,14 @@ def alpha_sweep(base: TrainConfig, train_pairs: list[SignalPair],
                 test_pairs: list[SignalPair], alphas, seeds,
                 metric_names=("si_snr",), progress=None) -> SweepResult:
     """Train one model per (alpha, seed) and score each on the test split
-    with the full reverse walk.
-
-    alpha = 0 runs skip the scorer entirely: with no actor weight the
-    enhancer updates are identical either way, and the regression-only path
-    is much cheaper.
-    """
+    with the full reverse walk."""
     metrics = [get_metric(m) for m in metric_names]
     long_rows = []
     sums: dict[float, dict[str, list[float]]] = {}
     unprocessed: dict[str, float] = {}
     for a in alphas:
         for s in seeds:
-            cfg = replace(base, alpha=float(a), seed=int(s),
-                          elbo_only=(float(a) == 0.0))
+            cfg = replace(base, alpha=float(a), seed=int(s))
             res = train(cfg, train_pairs)
             rep = evaluate(res.dnet, res.params_d, test_pairs, metrics,
                            res.schedule, seed=int(s) + 7919)

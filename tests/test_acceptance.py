@@ -132,8 +132,8 @@ def test_c6_phase_discipline_and_zero_alpha_identity(report):
     ok = (frozen_through >= cfg.n_th and moved_after and same_params
           and same_l1 and (time.time() - t0) < 60.0)
     report(6, ok, f"scorer frozen through iteration {frozen_through} "
-                  f"(threshold {cfg.n_th}), alpha=0 run bit-identical to "
-                  f"regression-only: {same_params}", t0)
+                  f"(threshold {cfg.n_th}), phase 1 bit-identical to the "
+                  f"alpha=0 run's: {same_params and same_l1}", t0)
     assert frozen_through >= cfg.n_th
     assert moved_after
     assert same_params
@@ -181,7 +181,7 @@ def test_c8_stepwise_reward_tracks_quality_better_than_the_loss(report):
     train_pairs = c7_train_corpus()
     probe_pairs = c7_test_corpus(n=12)
 
-    elbo = train(replace(C7_BASE, elbo_only=True, seed=0), train_pairs)
+    elbo = train(replace(C7_BASE, alpha=0.0, seed=0), train_pairs)
     metric_run = train(replace(C7_BASE, alpha=1.0, seed=0), train_pairs)
 
     res = mismatch_experiment(elbo.dnet, elbo.params_d, metric_run.params_d,

@@ -39,7 +39,7 @@ def work(tmp_path_factory):
     assert manifest.exists()
 
     cfg_e = root / "elbo.cfg"
-    cfg_e.write_text(MICRO_CFG + "elbo_only = true\n")
+    cfg_e.write_text(MICRO_CFG + "alpha = 0\n")
     cfg_m = root / "metric.cfg"
     cfg_m.write_text(MICRO_CFG + "alpha = 1.0\n")
 
@@ -71,7 +71,7 @@ def test_train_outputs(work):
                                        "schedule.tsv", "telemetry.csv"]
     text = (run / "run_manifest.txt").read_text()
     assert "command = train" in text and "config_hash = " in text
-    assert "elbo_only = true" in text
+    assert "alpha = 0.0" in text
     # the machine, so a benchmark figure can be tied to its host
     keys = {ln.partition(" = ")[0] for ln in text.splitlines()}
     assert {"nproc", "python", "numpy", "blas_name", "blas_version",
@@ -212,6 +212,22 @@ def test_mismatch_command(work, tmp_path, capsys):
     assert "corr(" in printed
 
 
+def test_mismatch_refuses_checkpoints_that_differ_beyond_alpha(work,
+                                                               tmp_path):
+    run = tmp_path / "run_steps"
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(MICRO_CFG.replace("n_total = 12", "n_total = 2")
+                   .replace("n_th = 6", "n_th = 1"))
+    assert main(["train", "--config", str(cfg), "--steps", "9",
+                 "--data", str(work["manifest"]), "--out", str(run)]) == 0
+    out = tmp_path / "mm"
+    rc = main(["mismatch", "--ckpt-elbo", str(work["ckpt_e"]),
+               "--ckpt-metric", str(run / "checkpoint"),
+               "--data", str(work["manifest"]), "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cmd", ["eval", "mismatch"])
 def test_unknown_split_is_data_error(work, tmp_path, capsys, cmd):
     # no pair has the split: refused, not scored on the whole corpus
@@ -237,18 +253,31 @@ def test_train_resume_flow(work, tmp_path):
     resume = ["train", "--config", str(cfg), "--data", str(work["manifest"]),
               "--out", str(out), "--resume", str(out / "checkpoint")]
     assert main(resume) == 0
+    # a resume under another config is refused before the run's manifest
+    # is rewritten
+    manifest = (out / "run_manifest.txt").read_bytes()
+    assert main(resume + ["--alpha", "5"]) == 3
+    assert (out / "run_manifest.txt").read_bytes() == manifest
     # telemetry that lost rows the checkpoint covers is refused
     tele = out / "telemetry.csv"
     tele.write_text("".join(tele.read_text().splitlines(True)[:-1]))
     assert main(resume) == 3
 
 
-def test_exit_code_2_on_bad_config(work, tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("not_a_key = 5\n")
-    rc = main(["train", "--config", str(bad), "--data", str(work["manifest"]),
-               "--out", str(tmp_path / "o")])
-    assert rc == 2
+def test_exit_code_2_on_bad_config(work, tmp_path, capsys):
+    # an unknown key, the removed regression-only switch (alpha = 0 is that
+    # run), and an odd step-embedding width: refused before --out exists
+    configs = ["not_a_key = 5\n", "elbo_only = true\n",
+               MICRO_CFG.replace("emb_dim = 4", "emb_dim = 3")]
+    for k, text in enumerate(configs):
+        bad = tmp_path / f"bad{k}.cfg"
+        bad.write_text(text)
+        out = tmp_path / f"o{k}"
+        rc = main(["train", "--config", str(bad),
+                   "--data", str(work["manifest"]), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+    assert "unknown config key 'elbo_only'" in capsys.readouterr().err
 
 
 def test_exit_code_3_on_missing_data(work, tmp_path):
@@ -291,7 +320,7 @@ def test_exit_code_4_on_divergence(work, tmp_path):
     cfg = tmp_path / "explode.cfg"
     cfg.write_text(MICRO_CFG.replace("n_total = 12", "n_total = 80")
                    .replace("n_th = 6", "n_th = 25")
-                   + "elbo_only = true\nlr_d_joint = 1e3\n")
+                   + "alpha = 0\nlr_d_joint = 1e3\n")
     rc = main(["train", "--config", str(cfg), "--data", str(work["manifest"]),
                "--out", str(tmp_path / "o")])
     assert rc == 4

@@ -83,27 +83,36 @@ def test_config_validation_errors():
         TrainConfig(gamma=1.0)
     with pytest.raises(ConfigError, match="alpha"):
         TrainConfig(alpha=-0.1)
+    with pytest.raises(ConfigError, match="alpha"):
+        TrainConfig(alpha=math.nan)
     with pytest.raises(ConfigError, match="lr_v"):
         TrainConfig(lr_v=0.0)
+    with pytest.raises(ConfigError, match="lr_d_joint"):
+        TrainConfig(lr_d_joint=math.nan)
     with pytest.raises(ConfigError, match="batch"):
         TrainConfig(batch=0)
     with pytest.raises(ConfigError, match="steps"):
         TrainConfig(steps=1)
     with pytest.raises(ConfigError, match="beta"):
         TrainConfig(beta_min=0.2, beta_max=0.1)
+    # the step embedding pairs a sine with a cosine per frequency
+    for dim in (0, 1, 3, 15):
+        with pytest.raises(ConfigError, match="emb_dim"):
+            TrainConfig(emb_dim=dim)
 
 
 def test_config_mapping_coerces_strings():
     cfg = config_from_mapping({"n_total": "100", "n_th": "50", "gamma": "0.5",
-                               "elbo_only": "true", "metric": " seg_snr "})
+                               "update_v_first": "false",
+                               "metric": " seg_snr "})
     assert cfg.n_total == 100 and cfg.n_th == 50 and cfg.gamma == 0.5
-    assert cfg.elbo_only is True and cfg.metric == "seg_snr"
+    assert cfg.update_v_first is False and cfg.metric == "seg_snr"
     with pytest.raises(ConfigError, match="unknown config key"):
         config_from_mapping({"nototal": "5"})
     with pytest.raises(ConfigError, match="bad value"):
         config_from_mapping({"n_total": "many"})
     with pytest.raises(ConfigError, match="bad value"):
-        config_from_mapping({"elbo_only": "maybe"})
+        config_from_mapping({"update_v_first": "maybe"})
 
 
 def test_config_file_round_trip(tmp_path):
@@ -203,7 +212,7 @@ def test_scorer_frozen_through_warmup(corpus):
 
 def test_enhancer_lr_switches_exactly_at_threshold(corpus):
     from dataclasses import replace
-    cfg = replace(MICRO, elbo_only=True, lr_d=1e-2, lr_d_joint=1e-9)
+    cfg = replace(MICRO, alpha=0.0, lr_d=1e-2, lr_d_joint=1e-9)
     deltas = {}
     last = {}
 
@@ -221,16 +230,50 @@ def test_enhancer_lr_switches_exactly_at_threshold(corpus):
 
 
 def test_zero_alpha_equals_regression_only(corpus):
+    # the alpha = 0 run is the regression-only one: it never touches the
+    # scorer, in either phase
     from dataclasses import replace
-    a = train(replace(MICRO, alpha=0.0, elbo_only=False), corpus)
-    b = train(replace(MICRO, elbo_only=True), corpus)
-    assert np.array_equal(a.params_d.flat, b.params_d.flat)
-    l1a = [r.l1 for r in a.telemetry]
-    l1b = [r.l1 for r in b.telemetry]
-    assert l1a == l1b
-    # the regression-only run never touches the scorer
-    assert all(math.isnan(r.l3) for r in b.telemetry)
-    assert any(math.isfinite(r.l3) for r in a.telemetry)
+    cfg = replace(MICRO, alpha=0.0)
+    res = train(cfg, corpus)
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    dnet, vnet = build_nets(cfg)
+    dnet.init_params(rng)
+    assert np.array_equal(res.params_v.flat, vnet.init_params(rng).flat)
+    assert res.state.adam_v.step == 0
+    assert res.telemetry[-1].phase == 2
+    assert all(math.isnan(r.l3) for r in res.telemetry)
+
+
+def test_critic_update_leaves_the_enhancer_alone(corpus):
+    # a scorer update reads the enhancer (the bootstrap's next action) but
+    # writes nothing of it: parameters, gradient buffer or Adam state
+    from dataclasses import replace
+    res = train(replace(MICRO, n_total=MICRO.n_th), corpus)
+    state = res.state
+    state.params_v = res.vnet.init_params(np.random.default_rng(1),
+                                          zero_head=False)
+    state.adam_v = trainer.AdamState.fresh(state.params_v)
+    state.params_d.grad[:] = np.random.default_rng(2).standard_normal(
+        state.params_d.size)
+    before = [a.copy() for a in (state.params_d.flat, state.params_d.grad,
+                                 state.adam_d.m, state.adam_d.v)]
+    step, v_before = state.adam_d.step, state.params_v.flat.copy()
+
+    x0 = np.stack([p.x0 for p in corpus[:2]]).astype(np.float32)
+    y = np.stack([p.y for p in corpus[:2]]).astype(np.float32)
+    t = np.array([3, 5])
+    eps = np.random.default_rng(3).standard_normal(x0.shape).astype(
+        np.float32)
+    x_t = trainer.forward_sample_batch(x0, y, t, eps, res.schedule)
+    action = res.dnet.forward(state.params_d, x_t, y, t).value
+    trainer._critic_update(state, res.schedule, res.dnet, res.vnet,
+                           get_metric("si_snr"), x_t, y, x0, t, action)
+
+    after = (state.params_d.flat, state.params_d.grad, state.adam_d.m,
+             state.adam_d.v)
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    assert state.adam_d.step == step
+    assert not np.array_equal(state.params_v.flat, v_before)
 
 
 def test_joint_update_order(corpus):
@@ -239,7 +282,7 @@ def test_joint_update_order(corpus):
     # enhancer moves as in the regression-only run; updated first, it is not
     from dataclasses import replace
     cfg = replace(MICRO, n_th=6, n_total=7, alpha=5.0)
-    elbo = train(replace(cfg, elbo_only=True), corpus).params_d.flat
+    elbo = train(replace(cfg, alpha=0.0), corpus).params_d.flat
     d_first = train(replace(cfg, update_v_first=False), corpus)
     v_first = train(replace(cfg, update_v_first=True), corpus)
     assert np.array_equal(d_first.params_d.flat, elbo)
@@ -260,8 +303,7 @@ def test_all_joint_and_all_warmup_edges(corpus):
 def test_divergence_guard_trips(corpus):
     from dataclasses import replace
     # sane warm window, then an absurd phase-2 learning rate
-    cfg = replace(MICRO, n_total=80, n_th=25, elbo_only=True,
-                  lr_d_joint=1e3)
+    cfg = replace(MICRO, n_total=80, n_th=25, alpha=0.0, lr_d_joint=1e3)
     with pytest.raises(DivergenceError, match="exceeded 10x"):
         train(cfg, corpus)
 
@@ -374,22 +416,30 @@ def test_checkpoint_corruption_detected(tmp_path, corpus):
     # too few warm-up losses for the iteration would weaken the guard
     refused(reseal(re.sub(rb"(warm_l1 = \S+) .*", rb"\1", blob, count=1)),
             "warm-up losses")
+    # a layer shape its config's networks do not have
+    refused(reseal(re.sub(rb"(param v fc3.w) = (\d+) 1", rb"\1 = 1 \2", blob)),
+            "layer manifest")
 
     # a format-2 checkpoint directory is neither read nor replaced
     v2 = tmp_path / "v2"
     (v2 / "checkpoint").mkdir(parents=True)
     (v2 / "checkpoint" / "manifest.txt").write_text(
         "format = mose-checkpoint-2\n")
-    with pytest.raises(CheckpointError, match="mose-checkpoint-4"):
+    with pytest.raises(CheckpointError, match="mose-checkpoint-5"):
         checkpoint_load(str(v2 / "checkpoint"))
     with pytest.raises(CheckpointError, match="is a directory"):
         train(MICRO, corpus, out_dir=v2)
 
     # a format-3 file, the same but with a critic_step_input line: refused
-    v3 = reseal(blob.replace(b"mose-checkpoint-4", b"mose-checkpoint-3")
+    v3 = reseal(blob.replace(b"mose-checkpoint-5", b"mose-checkpoint-3")
                 .replace(b"update_v_first = ",
                          b"critic_step_input = false\nupdate_v_first = "))
     refused(v3, "unknown format .*mose-checkpoint-3")
+    # a format-4 file, the same but with an elbo_only line: refused
+    v4 = reseal(blob.replace(b"mose-checkpoint-5", b"mose-checkpoint-4")
+                .replace(b"update_v_first = ",
+                         b"elbo_only = false\nupdate_v_first = "))
+    refused(v4, "unknown format .*mose-checkpoint-4")
 
     # the format stores float32 only; a wider state is refused, not rounded
     wide = replace(good, params_d=ParamSet(good.params_d.manifest,
