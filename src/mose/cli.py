@@ -31,8 +31,9 @@ from .errors import (AlignmentError, CheckFailure, CheckpointError,
 from .metric import get_metric
 from .schedule import build_schedule, dump_table
 from .signals import load_corpus, synth_corpus, wav_read, wav_write, write_corpus
-from .trainer import (TrainConfig, build_dnet, checkpoint_load, config_hash,
-                      config_to_text, enhance_all, evaluate,
+from .trainer import (TrainConfig, build_dnet, checkpoint_file,
+                      checkpoint_load, config_hash, config_to_text,
+                      enhance_all, evaluate,
                       mismatch_experiment, parse_config_file, resume_state,
                       run_inputs, train, write_comparison_csv,
                       write_eval_csv, write_mismatch_csv)
@@ -132,13 +133,13 @@ def cmd_train(args) -> int:
     run_inputs(cfg, corpus)  # refuse a bad run before --out gets a file
     resume = None if args.resume is None else resume_state(cfg, args.resume)
     out = _prepare_out(args.out, args.force or resume is not None)
+    ckpt = checkpoint_file(out)
     _write_run_manifest(out, "train", cfg, {"data": args.data})
     res = train(cfg, corpus, out_dir=out, resume=resume,
                 checkpoint_every=args.checkpoint_every)
     last = res.telemetry[-1] if res.telemetry else None
     tail = f", final l1 {last.l1:.5g}" if last else ""
-    print(f"trained {res.iteration} iterations{tail}; "
-          f"checkpoint at {os.path.join(out, 'checkpoint')}")
+    print(f"trained {res.iteration} iterations{tail}; checkpoint at {ckpt}")
     if args.dump_schedule:
         with open(os.path.join(out, "schedule.tsv"), "w",
                   encoding="utf-8") as fh:
@@ -197,16 +198,14 @@ def cmd_enhance(args) -> int:
 
 def cmd_eval(args) -> int:
     split = _split_pairs(args.data, args.split)
-    out = _prepare_out(args.out, args.force)
     metric_names = [m for m in args.metric.split(",") if m]
     metrics = [get_metric(m) for m in metric_names]
     given = _parse_fast_schedule(args.fast_schedule) \
         if args.fast_schedule else None
+    models = [_load_model(ckpt) for ckpt in args.ckpt]  # all before --out
+    out = _prepare_out(args.out, args.force)
     reports = {}
-    last_cfg = None
-    for ckpt in args.ckpt:
-        st, dnet, sched = _load_model(ckpt)
-        last_cfg = st.config
+    for ckpt, (st, dnet, sched) in zip(args.ckpt, models):
         fast = given
         if fast is None and args.fast_steps:  # a ladder for this chain
             fast = default_fast_schedule(sched, args.fast_steps)
@@ -219,13 +218,14 @@ def cmd_eval(args) -> int:
         while label in reports:
             label += "'"
         reports[label] = rep
-        write_eval_csv(os.path.join(out, f"eval_{label}.csv"), rep)
         for s in rep.summary():
             print(f"{label} {s['metric']}: enhanced {s['enhanced_mean']:.4f} "
                   f"(unprocessed {s['noisy_mean']:.4f}, n={s['n']})")
+    for label, rep in reports.items():  # once every checkpoint is scored
+        write_eval_csv(os.path.join(out, f"eval_{label}.csv"), rep)
     write_comparison_csv(os.path.join(out, "comparison.csv"), reports,
                          metric_names)
-    _write_run_manifest(out, "eval", last_cfg, {
+    _write_run_manifest(out, "eval", models[-1][0].config, {
         "data": args.data, "seed": args.seed,
         "checkpoints": ";".join(args.ckpt)})
     print(f"comparison table at {os.path.join(out, 'comparison.csv')}")

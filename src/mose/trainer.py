@@ -8,12 +8,14 @@ a run is exactly replayable from its config and seed.
 
 Everything a run carries from one iteration to the next is one
 ``TrainState``: the config, the iteration count, both parameter sets and
-Adam states, the generator and the divergence guard's warm-up losses.
+Adam states, the generator and the telemetry row of every iteration done.
 ``train`` starts a fresh state or resumes a given one, steps it in place and
 returns it; ``checkpoint_save`` writes all of it and ``checkpoint_load``
 reads it back, so a resumed run writes the same bytes as the straight one.
 A checkpoint is one sha256-checked file, synced and renamed over the old
-one, so a crash mid-save leaves the previous checkpoint whole.
+one, so a crash mid-save leaves the previous checkpoint whole.  It is the
+run's one durable record: ``train`` rewrites ``telemetry.csv`` from the
+state's rows whenever it starts.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .nets import AdamState, DiffusionNet, ParamSet, ValueNet, adam_step
 from .schedule import NoiseSchedule, build_schedule
 from .signals import SignalPair
 
-_CKPT_FORMAT = "mose-checkpoint-5"
+_CKPT_FORMAT = "mose-checkpoint-6"
 
 
 @dataclass(frozen=True)
@@ -181,7 +183,7 @@ TELEMETRY_HEADER = "iter,phase,l1,l2,l3,reward_mean,target_mean"
 
 def write_telemetry_csv(path, rows, append: bool = False) -> None:
     """Write (or append) rows and sync the file, so rows written before a
-    checkpoint save survive a power loss that the checkpoint survives."""
+    checkpoint save are on disk with it."""
     mode = "a" if append else "w"
     with open(path, mode, encoding="utf-8", newline="") as fh:
         if not append:
@@ -193,48 +195,20 @@ def write_telemetry_csv(path, rows, append: bool = False) -> None:
         os.fsync(fh.fileno())
 
 
-def _telemetry_row(line: str) -> TelemetryRow:
-    it, ph, *vals = line.split(",")
-    return TelemetryRow(int(it), int(ph), *map(float, vals))
-
-
-def _truncate_telemetry(path, upto: int) -> None:
-    """Rewrite a telemetry file keeping rows up to an iteration.
-
-    Drops rows past ``upto`` (stale relative to the checkpoint being resumed)
-    and any torn trailing line left by an interrupted write, so appending
-    resumed rows yields exactly the uninterrupted file.  A file that ends
-    before ``upto`` lost rows the checkpoint covers; it is refused and left
-    as it is.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError:
-        lines = []
-    rows = []
-    if lines and lines[0] == TELEMETRY_HEADER:
-        for ln in lines[1:]:
-            try:
-                row = _telemetry_row(ln)
-            except (ValueError, TypeError):  # torn: bad field or field count
-                break
-            if row.iter > upto:
-                break
-            rows.append(row)
-    last = rows[-1].iter if rows else 0
-    if last < upto:
-        raise CheckpointError(f"{path} ends at iteration {last}, before the "
-                              f"checkpoint's iteration {upto}")
-    write_telemetry_csv(path, rows)
-
-
 def read_telemetry_csv(path) -> list[TelemetryRow]:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != TELEMETRY_HEADER:
         raise DataError(f"{path}: missing telemetry header")
-    return [_telemetry_row(ln) for ln in lines[1:]]
+    rows = []
+    for n, ln in enumerate(lines[1:], 2):
+        try:
+            it, ph, *vals = ln.split(",")
+            rows.append(TelemetryRow(int(it), int(ph), *map(float, vals)))
+        except (ValueError, TypeError) as exc:  # a bad field or field count
+            raise DataError(f"{path}:{n}: malformed telemetry row "
+                            f"{ln!r}") from exc
+    return rows
 
 
 def build_dnet(cfg: TrainConfig) -> DiffusionNet:
@@ -259,6 +233,7 @@ def resolve_metric(cfg: TrainConfig, sample_rate: int) -> MetricSpec:
 # run state and checkpoints
 
 _GUARD_WINDOW = 20  # leading iterations whose mean l1 the guard compares to
+_TELEMETRY_COLUMNS = TelemetryRow._fields[2:]  # stored; iter, phase derived
 
 
 @dataclass
@@ -272,15 +247,15 @@ class TrainState:
     adam_d: AdamState
     adam_v: AdamState
     rng: np.random.Generator
-    warm_l1: list[float]       # l1 of the first _GUARD_WINDOW iterations
+    telemetry: list[TelemetryRow]  # one row per iteration done
 
     @property
     def l1_ref(self) -> float:
-        """The divergence guard's early-run level: the mean warm-up l1, NaN
-        until the warm-up window is complete."""
-        if len(self.warm_l1) < min(_GUARD_WINDOW, self.config.n_total):
+        """The divergence guard's early-run level: the mean l1 of the first
+        ``_GUARD_WINDOW`` iterations, NaN until they are done."""
+        if len(self.telemetry) < min(_GUARD_WINDOW, self.config.n_total):
             return math.nan
-        return float(np.mean(self.warm_l1))
+        return float(np.mean([r.l1 for r in self.telemetry[:_GUARD_WINDOW]]))
 
 
 def checkpoint_save(path, state: TrainState) -> None:
@@ -291,7 +266,7 @@ def checkpoint_save(path, state: TrainState) -> None:
     lines = [f"iteration = {state.iteration}",
              f"adam_d_step = {state.adam_d.step}",
              f"adam_v_step = {state.adam_v.step}",
-             "warm_l1 = " + " ".join(repr(v) for v in state.warm_l1),
+             "telemetry = " + " ".join(_TELEMETRY_COLUMNS),
              "rng = " + json.dumps(state.rng.bit_generator.state),
              config_to_text(state.config).rstrip("\n")]
     arrays = []
@@ -303,8 +278,10 @@ def checkpoint_save(path, state: TrainState) -> None:
         lines += [f"param {tag} {name} = " + " ".join(str(d) for d in shape)
                   for name, shape in params.manifest]
         arrays += [params.flat, adam.m, adam.v]
+    rows = np.array([r[2:] for r in state.telemetry], "<f8")
     body = ("\n".join(lines) + "\n\n").encode() + b"".join(
-        a.astype("<f4", copy=False).tobytes() for a in arrays)
+        a.astype("<f4", copy=False).tobytes() for a in arrays) \
+        + rows.tobytes()
     tmp = os.fspath(path) + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(f"format = {_CKPT_FORMAT}\n"
@@ -343,7 +320,9 @@ def checkpoint_load(path) -> TrainState:
         kv = dict(_key_values(header.decode().splitlines(), path,
                               CheckpointError))
         iteration = int(kv.pop("iteration"))
-        warm_l1 = [float(x) for x in kv.pop("warm_l1").split()]
+        if tuple(kv.pop("telemetry").split()) != _TELEMETRY_COLUMNS:
+            raise ValueError("telemetry columns are not "
+                             + " ".join(_TELEMETRY_COLUMNS))
         rng = np.random.Generator(np.random.PCG64())
         rng.bit_generator.state = json.loads(kv.pop("rng"))
         for tag in ("d", "v"):  # each net's parameters, Adam m, Adam v
@@ -360,16 +339,21 @@ def checkpoint_load(path) -> TrainState:
     except (KeyError, ValueError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: missing or malformed field: {exc}") \
             from exc
-    if len(warm_l1) != min(iteration, _GUARD_WINDOW):
-        raise CheckpointError(f"{path}: {len(warm_l1)} warm-up losses at "
-                              f"iteration {iteration}")
+    rows = payload[off:]
+    if len(rows) != 8 * len(_TELEMETRY_COLUMNS) * iteration:
+        raise CheckpointError(f"{path}: {len(rows)} bytes of telemetry do "
+                              f"not hold the {iteration} rows of its "
+                              "iteration")
+    telemetry = [TelemetryRow(i, 1 if i <= cfg.n_th else 2, *vals)
+                 for i, vals in enumerate(np.frombuffer(rows, "<f8").reshape(
+                     iteration, len(_TELEMETRY_COLUMNS)).tolist(), 1)]
     dnet, vnet = build_nets(cfg)
     if params["d"].manifest != dnet.manifest or \
             params["v"].manifest != vnet.manifest:
         raise CheckpointError(f"{path}: layer manifest does not match the "
                               "networks of its config")
     return TrainState(cfg, iteration, params["d"], params["v"], adam["d"],
-                      adam["v"], rng, warm_l1)
+                      adam["v"], rng, telemetry)
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +367,12 @@ class TrainResult:
     schedule: NoiseSchedule
     dnet: DiffusionNet
     vnet: ValueNet
-    telemetry: list            # rows of the iterations this call ran
 
     config = property(lambda self: self.state.config)
     iteration = property(lambda self: self.state.iteration)
     params_d = property(lambda self: self.state.params_d)
     params_v = property(lambda self: self.state.params_v)
+    telemetry = property(lambda self: self.state.telemetry)
 
 
 def resume_state(cfg: TrainConfig, resume) -> TrainState:
@@ -401,6 +385,17 @@ def resume_state(cfg: TrainConfig, resume) -> TrainState:
             "checkpoint was produced by a different config "
             f"({config_hash(state.config)} != {config_hash(cfg)})")
     return state
+
+
+def checkpoint_file(out_dir) -> str:
+    """The checkpoint path of a run writing to ``out_dir``; a format-2
+    checkpoint directory there, which ``os.replace`` cannot swap, is
+    refused."""
+    path = os.path.join(str(out_dir), "checkpoint")
+    if os.path.isdir(path):
+        raise CheckpointError(f"{path} is a directory, not a "
+                              f"{_CKPT_FORMAT} file; remove it")
+    return path
 
 
 def run_inputs(cfg: TrainConfig, corpus: list[SignalPair]):
@@ -427,10 +422,10 @@ def train(cfg: TrainConfig, corpus: list[SignalPair], out_dir=None,
     """Run a training run, or continue ``resume`` (a state or a checkpoint
     file), to ``cfg.n_total`` iterations; the state is stepped in place.
 
-    With ``out_dir`` set, telemetry is streamed to ``telemetry.csv`` there
-    and the state is checkpointed to ``out_dir/checkpoint`` every
-    ``checkpoint_every`` iterations and at the end.  Resuming appends
-    telemetry rows for the iterations it actually runs.
+    With ``out_dir`` set, ``telemetry.csv`` there is rewritten from the
+    state's rows and then appended to as the run goes, and the state is
+    checkpointed to ``out_dir/checkpoint`` every ``checkpoint_every``
+    iterations and at the end.
     """
     sched, x0mat, ymat, metric = run_inputs(cfg, corpus)
     dnet, vnet = build_nets(cfg)
@@ -446,19 +441,13 @@ def train(cfg: TrainConfig, corpus: list[SignalPair], out_dir=None,
     else:
         state = resume_state(cfg, resume)
 
-    telemetry = []
+    telemetry = state.telemetry
     if out_dir is not None:
+        ckpt_path = checkpoint_file(out_dir)
         os.makedirs(out_dir, exist_ok=True)
         tele_path = os.path.join(str(out_dir), "telemetry.csv")
-        ckpt_path = os.path.join(str(out_dir), "checkpoint")
-        if os.path.isdir(ckpt_path):  # format 2; os.replace cannot swap it
-            raise CheckpointError(f"{ckpt_path} is a directory, not a "
-                                  f"{_CKPT_FORMAT} file; remove it")
-        if state.iteration == 0 or not os.path.exists(tele_path):
-            write_telemetry_csv(tele_path, [])
-        else:
-            _truncate_telemetry(tele_path, state.iteration)
-    flushed = 0
+        write_telemetry_csv(tele_path, telemetry)
+    flushed = len(telemetry)
     rng = state.rng
     l1_ref = state.l1_ref  # fixed once the warm-up window is complete
 
@@ -480,7 +469,6 @@ def train(cfg: TrainConfig, corpus: list[SignalPair], out_dir=None,
         if not math.isfinite(row.l1):
             raise DivergenceError(f"iteration {i}: non-finite loss")
         if i <= _GUARD_WINDOW:
-            state.warm_l1.append(row.l1)
             l1_ref = state.l1_ref
         elif row.l1 > 10.0 * l1_ref:
             raise DivergenceError(
@@ -500,7 +488,7 @@ def train(cfg: TrainConfig, corpus: list[SignalPair], out_dir=None,
             checkpoint_save(ckpt_path, state)
     if out_dir is not None:
         checkpoint_save(ckpt_path, state)
-    return TrainResult(state, sched, dnet, vnet, telemetry)
+    return TrainResult(state, sched, dnet, vnet)
 
 
 def _update(state: TrainState, i: int, sched, dnet, vnet, metric, x_t, yb,

@@ -154,6 +154,18 @@ def test_eval_comparison_table(work, tmp_path, capsys):
     assert "si_snr" in printed and "unprocessed" in printed
 
 
+def test_eval_refuses_a_bad_later_checkpoint_before_writing(work, tmp_path):
+    # every checkpoint loads before --out gets a file: a bad second one
+    # leaves no first eval CSV behind
+    bad = tmp_path / "bad_ckpt"
+    bad.write_bytes(work["ckpt_m"].read_bytes()[:-1])
+    out = tmp_path / "ev_bad"
+    rc = main(["eval", "--ckpt", str(work["ckpt_e"]), "--ckpt", str(bad),
+               "--data", str(work["manifest"]), "--out", str(out)])
+    assert rc == 3
+    assert not out.exists()
+
+
 def test_eval_fast_ladder(work, tmp_path):
     out = tmp_path / "ev_fast"
     rc = main(["eval", "--ckpt", str(work["ckpt_e"]),
@@ -258,10 +270,31 @@ def test_train_resume_flow(work, tmp_path):
     manifest = (out / "run_manifest.txt").read_bytes()
     assert main(resume + ["--alpha", "5"]) == 3
     assert (out / "run_manifest.txt").read_bytes() == manifest
-    # telemetry that lost rows the checkpoint covers is refused
+    # telemetry that lost rows the checkpoint covers is rebuilt from it
     tele = out / "telemetry.csv"
-    tele.write_text("".join(tele.read_text().splitlines(True)[:-1]))
-    assert main(resume) == 3
+    full = tele.read_text()
+    tele.write_text("".join(full.splitlines(True)[:-1]))
+    assert main(resume) == 0
+    assert tele.read_text() == full
+
+
+def test_train_force_refuses_a_checkpoint_directory_before_the_manifest(
+        work, tmp_path):
+    # a format-2 checkpoint directory cannot be swapped for a file: --force
+    # is refused before run_manifest.txt is created or rewritten
+    cfg = work["root"] / "elbo.cfg"
+    for manifest in (None, b"command = train\n"):
+        out = tmp_path / f"old{manifest is None}"
+        (out / "checkpoint").mkdir(parents=True)
+        if manifest is not None:
+            (out / "run_manifest.txt").write_bytes(manifest)
+        rc = main(["train", "--config", str(cfg), "--force",
+                   "--data", str(work["manifest"]), "--out", str(out)])
+        assert rc == 3
+        if manifest is None:
+            assert not (out / "run_manifest.txt").exists()
+        else:
+            assert (out / "run_manifest.txt").read_bytes() == manifest
 
 
 def test_exit_code_2_on_bad_config(work, tmp_path, capsys):

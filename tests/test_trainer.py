@@ -156,21 +156,11 @@ def test_telemetry_round_trip(tmp_path):
     (tmp_path / "h.csv").write_text("wrong,header\n")
     with pytest.raises(DataError, match="header"):
         read_telemetry_csv(tmp_path / "h.csv")
-
-
-def test_resume_truncation_drops_stale_and_torn_rows(tmp_path):
-    rows = [TelemetryRow(i, 1, 1.0 / i, math.nan, math.nan, math.nan,
-                         math.nan) for i in range(1, 6)]
-    path = tmp_path / "t.csv"
-    write_telemetry_csv(path, rows)
-    text = path.read_text()
-    # a write cut short: too few fields, a cut field, a cut iteration
-    for torn in ("6,1,0.25", "6,1,0.2,na", "6"):
-        path.write_text(text + torn)
-        trainer._truncate_telemetry(path, 5)
-        assert path.read_text() == text
-    trainer._truncate_telemetry(path, 3)
-    assert rows_equal(read_telemetry_csv(path), rows[:3])
+    # a torn last row is named by file and line, not a bare ValueError
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("4,2,0.2,na")
+    with pytest.raises(DataError, match=r"t\.csv:5: malformed"):
+        read_telemetry_csv(path)
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +385,11 @@ def reseal(blob: bytes) -> bytes:
 
 def test_checkpoint_corruption_detected(tmp_path, corpus):
     from dataclasses import replace
-    train(MICRO, corpus, out_dir=tmp_path)
+    res = train(MICRO, corpus, out_dir=tmp_path)
     ck = tmp_path / "checkpoint"
     good = checkpoint_load(str(ck))
     assert good.iteration == MICRO.n_total
+    assert rows_equal(good.telemetry, res.telemetry)
     blob = ck.read_bytes()
     assert reseal(blob) == blob
 
@@ -413,9 +404,13 @@ def test_checkpoint_corruption_detected(tmp_path, corpus):
     refused(blob[:-8], "sha256")
     refused(blob.replace(b"gamma = 0.95", b"gamma = 0.5"), "sha256")
     refused(blob.replace(b"format = ", b"format = x", 1), "unknown format")
-    # too few warm-up losses for the iteration would weaken the guard
-    refused(reseal(re.sub(rb"(warm_l1 = \S+) .*", rb"\1", blob, count=1)),
-            "warm-up losses")
+    # telemetry rows that are not one per iteration done: the last row cut
+    # off, or an iteration count that the rows do not reach
+    refused(reseal(blob[:-40]), "not hold the 12 rows")
+    refused(reseal(blob.replace(b"iteration = 12", b"iteration = 13")),
+            "not hold the 13 rows")
+    refused(reseal(blob.replace(b"telemetry = l1 ", b"telemetry = l0 ")),
+            "telemetry columns")
     # a layer shape its config's networks do not have
     refused(reseal(re.sub(rb"(param v fc3.w) = (\d+) 1", rb"\1 = 1 \2", blob)),
             "layer manifest")
@@ -425,21 +420,28 @@ def test_checkpoint_corruption_detected(tmp_path, corpus):
     (v2 / "checkpoint").mkdir(parents=True)
     (v2 / "checkpoint" / "manifest.txt").write_text(
         "format = mose-checkpoint-2\n")
-    with pytest.raises(CheckpointError, match="mose-checkpoint-5"):
+    with pytest.raises(CheckpointError, match="mose-checkpoint-6"):
         checkpoint_load(str(v2 / "checkpoint"))
     with pytest.raises(CheckpointError, match="is a directory"):
         train(MICRO, corpus, out_dir=v2)
 
     # a format-3 file, the same but with a critic_step_input line: refused
-    v3 = reseal(blob.replace(b"mose-checkpoint-5", b"mose-checkpoint-3")
+    v3 = reseal(blob.replace(b"mose-checkpoint-6", b"mose-checkpoint-3")
                 .replace(b"update_v_first = ",
                          b"critic_step_input = false\nupdate_v_first = "))
     refused(v3, "unknown format .*mose-checkpoint-3")
     # a format-4 file, the same but with an elbo_only line: refused
-    v4 = reseal(blob.replace(b"mose-checkpoint-5", b"mose-checkpoint-4")
+    v4 = reseal(blob.replace(b"mose-checkpoint-6", b"mose-checkpoint-4")
                 .replace(b"update_v_first = ",
                          b"elbo_only = false\nupdate_v_first = "))
     refused(v4, "unknown format .*mose-checkpoint-4")
+    # a format-5 file: warm-up losses in the header, no telemetry rows
+    warm = " ".join(repr(r.l1) for r in res.telemetry).encode()
+    v5 = reseal(blob[:-40 * MICRO.n_total]
+                .replace(b"mose-checkpoint-6", b"mose-checkpoint-5")
+                .replace(b"telemetry = l1 l2 l3 reward_mean target_mean",
+                         b"warm_l1 = " + warm))
+    refused(v5, "unknown format .*mose-checkpoint-5")
 
     # the format stores float32 only; a wider state is refused, not rounded
     wide = replace(good, params_d=ParamSet(good.params_d.manifest,
@@ -501,27 +503,61 @@ def test_telemetry_is_synced_before_each_checkpoint_save(tmp_path, corpus,
                       24, "checkpoint", "dir"]
 
 
-def test_resume_refuses_telemetry_behind_the_checkpoint(tmp_path, corpus):
-    # rows the checkpoint covers are gone: resuming would leave a silent gap
+def killed_at_15(tmp_path, corpus):
+    """Trains a run straight into ``tmp_path/straight`` and again into
+    ``tmp_path/killed``, checkpointed at 10 and killed at 15; returns a
+    function that restores the iteration-10 checkpoint and resumes it."""
     from dataclasses import replace
     cfg = replace(MICRO, n_total=24, n_th=12)
+    train(cfg, corpus, out_dir=tmp_path / "straight")
 
     def bomb(i, pd, pv):
         if i == 15:
             raise Stop()
 
     with pytest.raises(Stop):
-        train(cfg, corpus, out_dir=tmp_path, checkpoint_every=10,
+        train(cfg, corpus, out_dir=tmp_path / "killed", checkpoint_every=10,
               iter_callback=bomb)
-    tele = tmp_path / "telemetry.csv"
+    ckpt = tmp_path / "killed" / "checkpoint"
+    saved = ckpt.read_bytes()
+
+    def resume():
+        ckpt.write_bytes(saved)
+        train(cfg, corpus, out_dir=tmp_path / "killed", resume=str(ckpt))
+
+    return resume
+
+
+def test_resume_rewrites_stale_and_torn_telemetry(tmp_path, corpus):
+    # rows past the checkpoint and a torn last line are not the run's:
+    # resuming rewrites the file from the checkpoint's rows
+    resume = killed_at_15(tmp_path, corpus)
+    tele = tmp_path / "killed" / "telemetry.csv"
     lines = tele.read_text().splitlines(keepends=True)
     assert lines[-1].startswith("10,")
-    lagging = "".join(lines[:-1])
-    tele.write_text(lagging)
-    with pytest.raises(CheckpointError, match="iteration 9, before"):
-        train(cfg, corpus, out_dir=tmp_path,
-              resume=str(tmp_path / "checkpoint"))
-    assert tele.read_text() == lagging
+    stale = "".join(f"{i},1,9.0,nan,nan,nan,nan\n" for i in range(11, 15))
+    want = (tmp_path / "straight" / "telemetry.csv").read_bytes()
+    # a write cut short: too few fields, a cut field, a cut iteration
+    for torn in ("15,2,0.25", "15,2,0.2,na", "1"):
+        tele.write_text("".join(lines) + stale + torn)
+        resume()
+        assert tele.read_bytes() == want
+
+
+def test_resume_rebuilds_telemetry_behind_the_checkpoint(tmp_path, corpus):
+    # rows the checkpoint covers are gone from the file, or the whole file
+    # is: the checkpoint holds them, so resuming writes them back
+    resume = killed_at_15(tmp_path, corpus)
+    tele = tmp_path / "killed" / "telemetry.csv"
+    lines = tele.read_text().splitlines(keepends=True)
+    want = (tmp_path / "straight" / "telemetry.csv").read_bytes()
+    for lagging in ("".join(lines[:-1]), None):
+        if lagging is None:
+            tele.unlink()
+        else:
+            tele.write_text(lagging)
+        resume()
+        assert tele.read_bytes() == want
 
 
 class Torn(Exception):
