@@ -164,16 +164,16 @@ def _name_rng(seed: int, name: str) -> np.random.Generator:
 
 def cmd_enhance(args) -> int:
     st, dnet, sched = _load_model(args.ckpt)
-    out = _prepare_out(args.out, args.force)
     fast = _parse_fast_schedule(args.fast_schedule) \
         if args.fast_schedule else None
-    wavs = list(args.wav or [])
+    if args.wav and args.data:
+        raise ConfigError("pass WAV paths or --data, not both")
     if args.data:
         corpus = load_corpus(args.data)
         entries = [(p.id, p.y, p.sample_rate) for p in corpus]
     else:
         entries = []
-        for path in wavs:
+        for path in args.wav:
             samples, rate = wav_read(path)
             name = os.path.splitext(os.path.basename(path))[0]
             entries.append((name, samples, rate))
@@ -183,6 +183,7 @@ def cmd_enhance(args) -> int:
     if len(set(names)) != len(names):
         raise DataError("two inputs share a name, so their outputs would "
                         "overwrite each other")
+    out = _prepare_out(args.out, args.force)
     rngs = [_name_rng(args.seed, name) for name in names]
     enhanced = enhance_all(dnet, st.params_d, [y for _, y, _ in entries],
                            rngs, sched, fast)

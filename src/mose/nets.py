@@ -42,7 +42,8 @@ class StepEmbedding:
 
 
 class ParamSet:
-    """A flat parameter vector plus named views and a gradient buffer."""
+    """A flat parameter vector plus named views and a gradient buffer;
+    views are sliced on each call, so a deep or pickled copy uses its own."""
 
     def __init__(self, manifest: list[tuple[str, tuple[int, ...]]],
                  flat: np.ndarray):
@@ -53,13 +54,11 @@ class ParamSet:
         self.manifest = [(name, tuple(shape)) for name, shape in manifest]
         self.flat = flat
         self.grad = np.zeros_like(flat)
-        self._views = {}
-        self._grad_views = {}
+        self._slots = {}  # name -> (offset, end, shape)
         off = 0
         for name, shape in self.manifest:
             n = int(np.prod(shape))
-            self._views[name] = self.flat[off: off + n].reshape(shape)
-            self._grad_views[name] = self.grad[off: off + n].reshape(shape)
+            self._slots[name] = (off, off + n, shape)
             off += n
 
     @property
@@ -71,16 +70,15 @@ class ParamSet:
         return self.flat.size
 
     def view(self, name: str) -> np.ndarray:
-        return self._views[name]
+        lo, hi, shape = self._slots[name]
+        return self.flat[lo:hi].reshape(shape)
 
     def grad_view(self, name: str) -> np.ndarray:
-        return self._grad_views[name]
+        lo, hi, shape = self._slots[name]
+        return self.grad[lo:hi].reshape(shape)
 
     def zero_grad(self) -> None:
         self.grad[:] = 0
-
-    def copy(self) -> "ParamSet":
-        return ParamSet(self.manifest, self.flat.copy())
 
 
 def _init_flat(manifest, rng: np.random.Generator, dtype,

@@ -64,36 +64,20 @@ def interpolation_weight(alpha_bar: float) -> float:
     return min(1.0, math.sqrt((1.0 - ab) / math.sqrt(ab)))
 
 
-@dataclass(frozen=True)
-class StepConstants:
-    """All scalars attached to one step t of the chain."""
-
-    gain: float       # transition weight on the previous latent
-    mix: float        # transition weight on the conditioner
-    var: float        # fresh noise variance added by the transition
-    post_var: float   # reverse posterior variance delta_tilde[t]
-    coef_x: float     # reverse mean weight on the current latent
-    coef_y: float     # reverse mean weight on the conditioner
-    coef_eps: float   # reverse mean weight on predicted noise (subtracted)
-
-
 def _step_constants(beta: float, alpha: float, ab_prev: float, ab_cur: float,
                     w_prev: float, w_cur: float, d_prev: float,
-                    d_cur: float) -> StepConstants:
+                    d_cur: float) -> tuple[float, ...]:
+    """Step t's (gain, mix, var, post_var, coef_x, coef_y, coef_eps): the
+    transition's weights on x_{t-1} and y and its noise variance, the
+    posterior variance delta_tilde[t], and the reverse mean's weights on
+    x_t, y and the (subtracted) predicted noise."""
     if w_prev == 0.0 and w_cur == 0.0:
         # unconditional chain: closed forms, kept on a separate branch so the
         # zero-weight reduction is bitwise exact
         sqrt_alpha = math.sqrt(alpha)
         post_var = beta * (1.0 - ab_prev) / (1.0 - ab_cur)
-        return StepConstants(
-            gain=sqrt_alpha,
-            mix=0.0,
-            var=beta,
-            post_var=post_var,
-            coef_x=1.0 / sqrt_alpha,
-            coef_y=0.0,
-            coef_eps=beta / (sqrt_alpha * math.sqrt(1.0 - ab_cur)),
-        )
+        return (sqrt_alpha, 0.0, beta, post_var, 1.0 / sqrt_alpha, 0.0,
+                beta / (sqrt_alpha * math.sqrt(1.0 - ab_cur)))
     if d_cur <= 0.0:
         raise ScheduleError("degenerate marginal variance: delta[t] = 0 with "
                             "a nonzero interpolation weight")
@@ -111,7 +95,7 @@ def _step_constants(beta: float, alpha: float, ab_prev: float, ab_cur: float,
     coef_x = shrink + k * math.sqrt(ab_prev) / math.sqrt(ab_cur)
     coef_y = (var / d_cur) * w_prev * math.sqrt(ab_prev) - shrink * mix
     coef_eps = k * math.sqrt(ab_prev) * math.sqrt(1.0 - ab_cur) / math.sqrt(ab_cur)
-    return StepConstants(gain, mix, var, post_var, coef_x, coef_y, coef_eps)
+    return gain, mix, var, post_var, coef_x, coef_y, coef_eps
 
 
 @dataclass(frozen=True)
@@ -191,19 +175,13 @@ def schedule_from_betas(betas, weight_mode: str = "interpolated") -> NoiseSchedu
     coef_eps = np.zeros(T + 1)
     for t in range(1, T + 1):
         try:
-            sc = _step_constants(
+            (gain[t], mix[t], var[t], delta_tilde[t], coef_x[t], coef_y[t],
+             coef_eps[t]) = _step_constants(
                 float(beta[t]), float(alpha[t]), float(alpha_bar[t - 1]),
                 float(alpha_bar[t]), float(w[t - 1]), float(w[t]),
                 float(delta[t - 1]), float(delta[t]))
         except ScheduleError as exc:
             raise ScheduleError(f"step {t}: {exc}") from exc
-        gain[t] = sc.gain
-        mix[t] = sc.mix
-        var[t] = sc.var
-        delta_tilde[t] = sc.post_var
-        coef_x[t] = sc.coef_x
-        coef_y[t] = sc.coef_y
-        coef_eps[t] = sc.coef_eps
         beta_tilde[t] = beta[1] if t == 1 else \
             beta[t] * (1.0 - alpha_bar[t - 1]) / (1.0 - alpha_bar[t])
 

@@ -20,6 +20,7 @@ state's rows whenever it starts.
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import json
@@ -376,14 +377,25 @@ class TrainResult:
 
 
 def resume_state(cfg: TrainConfig, resume) -> TrainState:
-    """``resume``, a state or the checkpoint file it names, refused with
-    ``CheckpointError`` unless ``cfg`` produced it."""
+    """``resume``, a state or the checkpoint file it names, carrying ``cfg``.
+
+    A state resumes under its own config.  One at or before ``n_th`` may
+    also take a config that differs only in ``alpha`` and ``n_total``, as
+    phase 1 does not read alpha; anything else raises ``CheckpointError``.
+    ``cfg`` goes on the state before ``train`` reads ``l1_ref`` or saves.
+    """
     state = resume if isinstance(resume, TrainState) \
         else checkpoint_load(resume)
-    if config_hash(state.config) != config_hash(cfg):
+    own = state.config
+    differ = {f.name for f in fields(cfg)
+              if getattr(own, f.name) != getattr(cfg, f.name)}
+    if differ - {"alpha", "n_total"} or \
+            (differ and state.iteration > own.n_th):
         raise CheckpointError(
-            "checkpoint was produced by a different config "
-            f"({config_hash(state.config)} != {config_hash(cfg)})")
+            "checkpoint was produced by a different config (differs in "
+            f"{', '.join(sorted(differ))} at iteration {state.iteration}); "
+            "only a state at or before n_th may change alpha and n_total")
+    state.config = cfg
     return state
 
 
@@ -673,15 +685,21 @@ def alpha_sweep(base: TrainConfig, train_pairs: list[SignalPair],
                 test_pairs: list[SignalPair], alphas, seeds,
                 metric_names=("si_snr",), progress=None) -> SweepResult:
     """Train one model per (alpha, seed) and score each on the test split
-    with the full reverse walk."""
+    with the full reverse walk.  Each seed's warm-up is trained once and
+    copied for every alpha (see ``resume_state``), with unchanged bits."""
     metrics = [get_metric(m) for m in metric_names]
     long_rows = []
     sums: dict[float, dict[str, list[float]]] = {}
     unprocessed: dict[str, float] = {}
+    warm: dict[int, TrainState] = {}
     for a in alphas:
         for s in seeds:
             cfg = replace(base, alpha=float(a), seed=int(s))
-            res = train(cfg, train_pairs)
+            if cfg.n_th and cfg.seed not in warm:
+                warm[cfg.seed] = train(replace(cfg, n_total=cfg.n_th),
+                                       train_pairs).state
+            resume = copy.deepcopy(warm[cfg.seed]) if cfg.n_th else None
+            res = train(cfg, train_pairs, resume=resume)
             rep = evaluate(res.dnet, res.params_d, test_pairs, metrics,
                            res.schedule, seed=int(s) + 7919)
             for srow in rep.summary():

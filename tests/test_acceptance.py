@@ -2,13 +2,15 @@
 
 These are the package's strongest end-to-end guarantees, each with an
 explicit runtime budget. Slow by unit-test standards (the trend check
-trains twenty models); the per-criterion lines print live, bypassing
-capture, so they land in the run log even when every check passes.
+trains twenty models from five shared warm-ups); the per-criterion lines
+print live, bypassing capture, so they land in the run log even when every
+check passes.
 The measuring code of c1's invariants, c2-c6 and c9 lives in
 ``mose.selfcheck``, which ``mose selfcheck`` runs too; this file holds the
 assertions, the bounds and the time budgets.
 """
 
+import copy
 import os
 import time
 from dataclasses import replace
@@ -181,8 +183,14 @@ def test_c8_stepwise_reward_tracks_quality_better_than_the_loss(report):
     train_pairs = c7_train_corpus()
     probe_pairs = c7_test_corpus(n=12)
 
-    elbo = train(replace(C7_BASE, alpha=0.0, seed=0), train_pairs)
-    metric_run = train(replace(C7_BASE, alpha=1.0, seed=0), train_pairs)
+    # both models continue one warm-up, as alpha_sweep's do; each equals
+    # its straight run bit for bit
+    warm = train(replace(C7_BASE, seed=0, n_total=C7_BASE.n_th),
+                 train_pairs).state
+    elbo = train(replace(C7_BASE, alpha=0.0, seed=0), train_pairs,
+                 resume=copy.deepcopy(warm))
+    metric_run = train(replace(C7_BASE, alpha=1.0, seed=0), train_pairs,
+                       resume=warm)
 
     res = mismatch_experiment(elbo.dnet, elbo.params_d, metric_run.params_d,
                               probe_pairs, elbo.schedule,
@@ -190,9 +198,14 @@ def test_c8_stepwise_reward_tracks_quality_better_than_the_loss(report):
                               seed=0)
     dt = time.time() - t0
     ok = res.corr_reward > res.corr_elbo and dt < 300.0
-    report(8, ok, f"corr(reward, gain) {res.corr_reward:+.3f} vs "
-                  f"corr(loss, gain) {res.corr_elbo:+.3f} "
-                  f"on {len(res.rows)} utterances", t0)
+    # the walk's reward telescopes to its own SI-SNR gain (SI-SNR ignores
+    # the scale of the walk's start), so both sides score one walk: c8
+    # measures the paper's motivation, that the regression loss tracks
+    # quality poorly, and not the critic
+    report(8, ok, f"regression loss tracks quality poorly: corr(walk "
+                  f"reward, gain) {res.corr_reward:+.3f} vs corr(loss, gain) "
+                  f"{res.corr_elbo:+.3f} on {len(res.rows)} utterances "
+                  "(does not measure the critic)", t0)
     assert res.corr_reward > res.corr_elbo
     assert dt < 300.0
 

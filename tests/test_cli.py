@@ -128,12 +128,28 @@ def test_enhance_outputs_do_not_depend_on_input_order(work, tmp_path):
     rc = main(["enhance", paths[0], paths[0], "--ckpt", str(work["ckpt_e"]),
                "--out", str(tmp_path / "dup")])
     assert rc == 3
+    assert not (tmp_path / "dup").exists()
 
 
 def test_enhance_without_inputs_is_data_error(work, tmp_path):
     rc = main(["enhance", "--ckpt", str(work["ckpt_e"]),
                "--out", str(tmp_path / "x")])
     assert rc == 3
+    assert not (tmp_path / "x").exists()
+
+
+def test_enhance_refusals_leave_no_out_behind(work, tmp_path):
+    # WAV paths beside --data would be dropped, and a bad ladder is refused:
+    # both before --out is created
+    root = os.path.dirname(str(work["manifest"]))
+    wav = os.path.join(root, work["manifest"].read_text().splitlines()[1]
+                       .split("\t")[2])
+    ckpt = ["--ckpt", str(work["ckpt_e"])]
+    for k, argv in enumerate([[wav, "--data", str(work["manifest"])],
+                              [wav, "--fast-schedule", "abc"]]):
+        out = tmp_path / f"o{k}"
+        assert main(["enhance", *argv, *ckpt, "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_eval_comparison_table(work, tmp_path, capsys):
@@ -276,6 +292,26 @@ def test_train_resume_flow(work, tmp_path):
     tele.write_text("".join(full.splitlines(True)[:-1]))
     assert main(resume) == 0
     assert tele.read_text() == full
+
+
+def test_train_forks_a_warm_up_checkpoint(work, tmp_path):
+    # a warm-up stopped at n_th, resumed under another alpha and n_total,
+    # writes the straight run's checkpoint and telemetry
+    warm_cfg = tmp_path / "warm.cfg"
+    warm_cfg.write_text(MICRO_CFG.replace("n_total = 12", "n_total = 6")
+                        + "alpha = 0\n")
+    data = ["--data", str(work["manifest"])]
+    assert main(["train", "--config", str(warm_cfg), *data,
+                 "--out", str(tmp_path / "warm")]) == 0
+    fork = tmp_path / "fork"
+    assert main(["train", "--config", str(work["root"] / "metric.cfg"), *data,
+                 "--out", str(fork),
+                 "--resume", str(tmp_path / "warm" / "checkpoint")]) == 0
+    straight = work["ckpt_m"].parent
+    assert (fork / "checkpoint").read_bytes() == \
+        (straight / "checkpoint").read_bytes()
+    assert (fork / "telemetry.csv").read_bytes() == \
+        (straight / "telemetry.csv").read_bytes()
 
 
 def test_train_force_refuses_a_checkpoint_directory_before_the_manifest(

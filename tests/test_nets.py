@@ -1,5 +1,8 @@
 """Networks, parameter plumbing, and the optimizer against FD oracles."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -85,12 +88,23 @@ def test_paramset_views_share_storage(rng):
     assert params.grad.sum() == 0.0
 
 
-def test_paramset_copy_is_independent(rng):
+@pytest.mark.parametrize("route", ["deepcopy", "pickle"])
+def test_paramset_copies_are_independent_and_keep_their_views(rng, route):
+    # a copy's views must alias the copy's own vectors: a view left on the
+    # original (or on nothing) would train the copy wrong without an error
     net = DiffusionNet(channels=4, blocks=1, kernel=3, emb_dim=4)
     params = net.init_params(rng)
-    dup = params.copy()
-    dup.flat[0] += 1.0
-    assert params.flat[0] != dup.flat[0]
+    dup = copy.deepcopy(params) if route == "deepcopy" \
+        else pickle.loads(pickle.dumps(params))
+    assert np.array_equal(dup.flat, params.flat)
+    for name, _ in net.manifest:
+        assert np.shares_memory(dup.view(name), dup.flat)
+        assert np.shares_memory(dup.grad_view(name), dup.grad)
+        assert not np.shares_memory(dup.view(name), params.flat)
+    dup.view("in_proj.w")[0, 0, 0] += 1.0
+    dup.grad_view("in_proj.b")[:] = 1.0
+    assert dup.flat[0] != params.flat[0]
+    assert dup.grad.sum() == 4.0 and params.grad.sum() == 0.0
 
 
 def test_paramset_size_validation(rng):

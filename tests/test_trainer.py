@@ -1,9 +1,11 @@
 """Training loop, checkpoints, evaluation, sweep, and the mismatch probe."""
 
+import copy
 import csv
 import hashlib
 import math
 import os
+import pickle
 import re
 import stat
 
@@ -375,6 +377,67 @@ def test_resume_rejects_other_config(tmp_path, corpus):
         train(other, corpus, resume=str(tmp_path / "checkpoint"))
 
 
+@pytest.mark.parametrize("n_th", [12, 22], ids=["in-guard-window",
+                                                 "past-guard-window"])
+@pytest.mark.parametrize("route", ["deepcopy", "pickle"])
+def test_a_forked_warm_up_equals_the_straight_runs(tmp_path, corpus, n_th,
+                                                    route):
+    # one warm-up (trained at another alpha and stopped at n_th) continued
+    # as each alpha gives the straight run's params, telemetry and bytes;
+    # at n_th = 12 the fork starts before the guard's 20-row window is full
+    from dataclasses import replace
+    cfg = replace(MICRO, n_total=30, n_th=n_th)
+    warm = train(replace(cfg, alpha=5.0, n_total=n_th), corpus).state
+    for alpha in (0.0, 1.0):
+        run = replace(cfg, alpha=alpha)
+        fork = copy.deepcopy(warm) if route == "deepcopy" \
+            else pickle.loads(pickle.dumps(warm))
+        a, b = tmp_path / f"straight{alpha}", tmp_path / f"fork{alpha}"
+        ref = train(run, corpus, out_dir=a)
+        res = train(run, corpus, out_dir=b, resume=fork)
+        assert res.state is fork and res.config == run
+        assert np.array_equal(res.params_d.flat, ref.params_d.flat)
+        assert np.array_equal(res.params_v.flat, ref.params_v.flat)
+        assert (a / "telemetry.csv").read_text() == \
+            (b / "telemetry.csv").read_text()
+        assert (a / "checkpoint").read_bytes() == \
+            (b / "checkpoint").read_bytes()
+    # the forks trained copies: the warm-up itself did not move
+    assert warm.iteration == n_th and warm.config.alpha == 5.0
+    assert np.array_equal(warm.params_d.flat,
+                          train(replace(cfg, n_total=n_th),
+                                corpus).params_d.flat)
+
+
+def test_resume_refuses_every_other_change(corpus):
+    # alpha and n_total may change only at or before n_th; no other field
+    # may change at all, and a refusal leaves the state's config alone
+    from dataclasses import fields, replace
+    cfg = replace(MICRO, n_total=30, n_th=12)
+    warm = train(replace(cfg, n_total=12), corpus).state
+    done = train(cfg, corpus).state
+
+    def changed(value):
+        if isinstance(value, bool):
+            return not value
+        if isinstance(value, str):
+            return value + "x"
+        return value * 0.5 if isinstance(value, float) else value + 2
+
+    for f in fields(TrainConfig):
+        if f.name in ("alpha", "n_total"):
+            continue
+        other = replace(cfg, **{f.name: changed(getattr(cfg, f.name))})
+        with pytest.raises(CheckpointError, match="different config"):
+            trainer.resume_state(other, warm)
+    for other in (replace(cfg, alpha=2.0), replace(cfg, n_total=40)):
+        with pytest.raises(CheckpointError, match="iteration 30"):
+            trainer.resume_state(other, done)
+    assert warm.config == replace(cfg, n_total=12) and done.config == cfg
+    assert trainer.resume_state(replace(cfg, alpha=2.0), warm).config == \
+        replace(cfg, alpha=2.0)
+
+
 def reseal(blob: bytes) -> bytes:
     """A checkpoint whose sha256 line matches its (edited) contents."""
     fmt, _, rest = blob.partition(b"\n")
@@ -730,10 +793,23 @@ def test_resolve_metric_paths():
 
 def test_alpha_sweep_shape_and_csv(tmp_path, corpus):
     from dataclasses import replace
-    base = replace(MICRO, n_total=8, n_th=4)
-    sweep = alpha_sweep(base, corpus, corpus, alphas=(0.0, 0.5),
-                        seeds=(0, 1))
-    assert len(sweep.long_rows) == 4
+    # alpha-major, and each (alpha, seed) scores as its straight run would,
+    # whether the sweep continues one warm-up per seed or has none (n_th 0)
+    for n_th in (0, 4):
+        base = replace(MICRO, n_total=8, n_th=n_th)
+        sweep = alpha_sweep(base, corpus, corpus, alphas=(0.0, 0.5),
+                            seeds=(0, 1))
+        straight = []
+        for a in (0.0, 0.5):
+            for s in (0, 1):
+                res = train(replace(base, alpha=a, seed=s), corpus)
+                rep = evaluate(res.dnet, res.params_d, corpus,
+                               [get_metric("si_snr")], res.schedule,
+                               seed=s + 7919)
+                straight += [(a, s, r["metric"], r["enhanced_mean"],
+                              r["noisy_mean"], r["n"])
+                             for r in rep.summary()]
+        assert sweep.long_rows == straight
     assert set(sweep.by_alpha) == {0.0, 0.5}
     for a in (0.0, 0.5):
         assert "si_snr" in sweep.by_alpha[a]
