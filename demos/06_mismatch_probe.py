@@ -1,6 +1,6 @@
 """Show why a reward signal tracks realized quality better than the loss.
 
-Two small models share one architecture: one trained on the regression
+Two small models continue one regression warm-up: one on the regression
 loss alone, one with the metric-driven scorer in the loop.  For a batch of
 utterances we then compare two per-utterance numbers against the actual
 end-to-end metric gain of an enhancement walk: the summed regression loss,
@@ -9,6 +9,7 @@ the end-to-end gain of its own walk when both use the same metric, and it
 keeps tracking quality even when the reported metric is a different one.
 """
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -26,10 +27,13 @@ base = TrainConfig(
 pairs = synth_corpus(seed=5, n_utterances=12, length=512,
                      snr_levels=[0.0, 5.0, 10.0], split="train")
 
-print("training the regression-only twin...")
-elbo = train(replace(base, alpha=0.0), pairs)
-print("training the metric-driven twin...")
-metric = train(base, pairs)
+# both twins fork one warm-up; each equals its straight run bit for bit
+print("training the shared regression warm-up...")
+warm = train(replace(base, n_total=base.n_th), pairs).state
+print("continuing it as the regression-only twin...")
+elbo = train(replace(base, alpha=0.0), pairs, resume=copy.deepcopy(warm))
+print("continuing it as the metric-driven twin...")
+metric = train(base, pairs, resume=warm)
 
 si = get_metric("si_snr")
 seg = get_metric("seg_snr")

@@ -12,7 +12,33 @@ float32 end to end, which the trainer relies on for reproducibility.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
+
+# Every training iteration allocates its tape's arrays and frees them; with
+# glibc's defaults the freed heap top goes back to the system and is faulted
+# in again (~300 minor faults per C7 iteration).  Setting any one threshold
+# turns off glibc's dynamic mmap threshold, so all three are set together.
+HEAP_SETTINGS = (("M_TRIM_THRESHOLD", -1, 256 << 20),
+                 ("M_TOP_PAD", -2, 64 << 20),
+                 ("M_MMAP_THRESHOLD", -3, 256 << 20))
+
+
+def _keep_freed_heap() -> str:
+    """Apply ``HEAP_SETTINGS``; the values and ``mallopt``'s return codes,
+    or "default" where the C library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return "default"
+    codes = [str(mallopt(param, value)) for _, param, value in HEAP_SETTINGS]
+    return (" ".join(f"{name}={value}" for name, _, value in HEAP_SETTINGS)
+            + f" (mallopt returned {' '.join(codes)})")
+
+
+# applied once, for the whole importing process
+HEAP_POLICY = _keep_freed_heap()
 
 
 class Tensor:

@@ -24,6 +24,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
+from . import autodiff as ad
 from .diffusion import default_fast_schedule
 from .errors import (AlignmentError, CheckFailure, CheckpointError,
                      ConfigError, DataError, DivergenceError, MetricError,
@@ -55,7 +56,7 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _machine_lines() -> list[str]:
-    """Cores, python, numpy, its BLAS build and the BLAS thread settings."""
+    """Cores, python, numpy, its BLAS build, thread and allocator settings."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
@@ -66,7 +67,7 @@ def _machine_lines() -> list[str]:
     lines += [f"blas_{k.replace(' ', '_')} = {blas.get(k)}"
               for k in ("name", "version", "openblas configuration")]
     lines += [f"{k} = {os.environ.get(k)}" for k in _THREAD_VARS]
-    return lines
+    return lines + [f"heap_policy = {ad.HEAP_POLICY}"]
 
 
 def _write_run_manifest(out_dir: str, cmd: str, cfg: TrainConfig | None,

@@ -144,15 +144,17 @@ def test_c6_phase_discipline_and_zero_alpha_identity(report):
 
 
 @pytest.mark.slow
-def test_c7_metric_driven_training_beats_regression_only(tmp_path, report):
+def test_c7_metric_driven_training_beats_regression_only(tmp_path, report,
+                                                         capfd):
     t0 = time.time()
     train_pairs = c7_train_corpus()
     test_pairs = c7_test_corpus()
 
     def progress(a, s, rep):
         mean = rep.summary()[0]["enhanced_mean"]
-        print(f"    alpha={a:g} seed={s}: test si_snr {mean:+.3f} "
-              f"({time.time() - t0:.0f}s)", flush=True)
+        with capfd.disabled():
+            print(f"    alpha={a:g} seed={s}: test si_snr {mean:+.3f} "
+                  f"({time.time() - t0:.0f}s)", flush=True)
 
     sweep = alpha_sweep(C7_BASE, train_pairs, test_pairs,
                         alphas=(0.0, 0.1, 1.0, 5.0), seeds=(0, 1, 2, 3, 4),

@@ -415,3 +415,10 @@ def test_untracked_nodes_keep_no_graph(rng):
 
     assert np.allclose(w.grad.ravel(), fd_grad(loss, wv.ravel()),
                        rtol=1e-6, atol=1e-8)
+
+
+def test_heap_settings_are_left_alone_without_mallopt(monkeypatch):
+    # a C library with no mallopt (macOS, Windows): nothing is set, and the
+    # run manifest says so
+    monkeypatch.setattr(ad.ctypes, "CDLL", lambda name: object())
+    assert ad._keep_freed_heap() == "default"

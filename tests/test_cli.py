@@ -2,6 +2,7 @@
 
 import csv
 import os
+import platform
 import subprocess
 import sys
 
@@ -76,8 +77,12 @@ def test_train_outputs(work):
     keys = {ln.partition(" = ")[0] for ln in text.splitlines()}
     assert {"nproc", "python", "numpy", "blas_name", "blas_version",
             "blas_openblas_configuration", "OPENBLAS_NUM_THREADS",
-            "OMP_NUM_THREADS", "MKL_NUM_THREADS"} <= keys
+            "OMP_NUM_THREADS", "MKL_NUM_THREADS", "heap_policy"} <= keys
     assert f"numpy = {np.__version__}" in text
+    # the allocator thresholds mose.autodiff applied at import
+    if platform.libc_ver()[0] == "glibc":
+        assert ("heap_policy = M_TRIM_THRESHOLD=268435456 M_TOP_PAD=67108864 "
+                "M_MMAP_THRESHOLD=268435456 (mallopt returned ") in text
     assert "MOSE_THREADS" not in text
 
 

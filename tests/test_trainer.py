@@ -6,7 +6,9 @@ import hashlib
 import math
 import os
 import pickle
+import platform
 import re
+import resource
 import stat
 
 import numpy as np
@@ -290,6 +292,28 @@ def test_all_joint_and_all_warmup_edges(corpus):
     assert all(r.phase == 2 for r in res.telemetry)
     res = train(replace(MICRO, n_total=4, n_th=4), corpus)
     assert all(r.phase == 1 for r in res.telemetry)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="mose.autodiff sets glibc's allocator thresholds")
+def test_training_iterations_do_not_refault_the_heap():
+    # each iteration frees its tape; with glibc's default thresholds the
+    # freed heap top goes back to the system and is faulted in again, ~300
+    # minor faults per iteration of this C7-shaped run
+    cfg = TrainConfig(n_total=80, n_th=20, alpha=1.0, batch=8, seed=0,
+                      steps=50, beta_min=1e-4, beta_max=0.035,
+                      d_channels=12, d_blocks=4, d_kernel=3, v_channels=16,
+                      v_kernel=5, v_mlp_width=32, emb_dim=16)
+    pairs = synth_corpus(seed=101, n_utterances=16, length=512,
+                         snr_levels=[0.0, 5.0, 10.0, 15.0], split="train")
+    faults = {}
+
+    def cb(i, pd, pv):
+        faults[i] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    train(cfg, pairs, iter_callback=cb)
+    per_iter = (faults[80] - faults[40]) / 40
+    assert per_iter < 50, f"{per_iter:.0f} minor faults per iteration"
 
 
 def test_divergence_guard_trips(corpus):
