@@ -29,7 +29,7 @@ pairs = synth_corpus(seed=5, n_utterances=12, length=512,
 
 # both twins fork one warm-up; each equals its straight run bit for bit
 print("training the shared regression warm-up...")
-warm = train(replace(base, n_total=base.n_th), pairs).state
+warm = train(replace(base, n_total=base.n_th), pairs)
 print("continuing it as the regression-only twin...")
 elbo = train(replace(base, alpha=0.0), pairs, resume=copy.deepcopy(warm))
 print("continuing it as the metric-driven twin...")

@@ -1,11 +1,11 @@
 """Command line front end.
 
 Subcommands: synth, train, enhance, eval, mismatch, selfcheck.  Every
-command that writes results refuses to touch a non-empty output directory
-unless --force is given, and drops a run manifest (config snapshot, seed,
-package version, machine and BLAS build) next to its outputs so any run can
-be replayed.  ``selfcheck`` runs the acceptance gates c1-c6 and c9 (see
-``mose.selfcheck``) without pytest.
+command that writes results refuses an --out that is a file, and a
+non-empty one unless --force is given, and drops a run manifest (config
+snapshot, seed, package version, machine and BLAS build) next to its
+outputs so any run can be replayed.  ``selfcheck`` runs the acceptance
+gates c1-c6 and c9 (see ``mose.selfcheck``) without pytest.
 
 Exit codes: 0 success, 1 unexpected error, 2 bad configuration or
 arguments (including a bad schedule, inference ladder or metric name), 3
@@ -30,11 +30,11 @@ from .errors import (AlignmentError, CheckFailure, CheckpointError,
                      ConfigError, DataError, DivergenceError, MetricError,
                      MoseError, ScheduleError)
 from .metric import get_metric
-from .schedule import build_schedule, dump_table
+from .schedule import dump_table
 from .signals import load_corpus, synth_corpus, wav_read, wav_write, write_corpus
-from .trainer import (TrainConfig, build_dnet, checkpoint_file,
+from .trainer import (TrainConfig, TrainState, checkpoint_file,
                       checkpoint_load, config_hash, config_to_text,
-                      enhance_all, evaluate,
+                      enhance_all, evaluate, item_rng,
                       mismatch_experiment, parse_config_file, resume_state,
                       run_inputs, train, write_comparison_csv,
                       write_eval_csv, write_mismatch_csv)
@@ -45,6 +45,9 @@ _EXIT_BY_ERROR = ((ConfigError, 2), (ScheduleError, 2), (AlignmentError, 2),
 
 
 def _prepare_out(out_dir: str, force: bool) -> str:
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise ConfigError(f"output path {out_dir!r} exists and is not a "
+                          "directory")
     if os.path.isdir(out_dir) and os.listdir(out_dir) and not force:
         raise ConfigError(f"output directory {out_dir!r} is not empty; "
                           f"pass --force to overwrite")
@@ -131,40 +134,27 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     corpus = _split_pairs(args.data, "train")
-    run_inputs(cfg, corpus)  # refuse a bad run before --out gets a file
-    resume = None if args.resume is None else resume_state(cfg, args.resume)
-    out = _prepare_out(args.out, args.force or resume is not None)
+    # a bad corpus, metric, chain or checkpoint is refused before --out
+    run_inputs(cfg, corpus)
+    state = TrainState.fresh(cfg) if args.resume is None \
+        else resume_state(cfg, args.resume)
+    out = _prepare_out(args.out, args.force or args.resume is not None)
     ckpt = checkpoint_file(out)
     _write_run_manifest(out, "train", cfg, {"data": args.data})
-    res = train(cfg, corpus, out_dir=out, resume=resume,
-                checkpoint_every=args.checkpoint_every)
-    last = res.telemetry[-1] if res.telemetry else None
+    train(cfg, corpus, out_dir=out, resume=state,
+          checkpoint_every=args.checkpoint_every)
+    last = state.telemetry[-1] if state.telemetry else None
     tail = f", final l1 {last.l1:.5g}" if last else ""
-    print(f"trained {res.iteration} iterations{tail}; checkpoint at {ckpt}")
+    print(f"trained {state.iteration} iterations{tail}; checkpoint at {ckpt}")
     if args.dump_schedule:
         with open(os.path.join(out, "schedule.tsv"), "w",
                   encoding="utf-8") as fh:
-            fh.write(dump_table(res.schedule))
+            fh.write(dump_table(state.schedule))
     return 0
 
 
-def _load_model(ckpt_path: str):
-    st = checkpoint_load(ckpt_path)
-    sched = build_schedule(st.config.steps, st.config.beta_min,
-                           st.config.beta_max)
-    return st, build_dnet(st.config), sched
-
-
-def _name_rng(seed: int, name: str) -> np.random.Generator:
-    """A noise stream keyed by the signal's name, not its position."""
-    key = int.from_bytes(hashlib.sha256(name.encode("utf-8")).digest()[:8],
-                         "big")
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
-
-
 def cmd_enhance(args) -> int:
-    st, dnet, sched = _load_model(args.ckpt)
+    st = checkpoint_load(args.ckpt)
     fast = _parse_fast_schedule(args.fast_schedule) \
         if args.fast_schedule else None
     if args.wav and args.data:
@@ -185,9 +175,12 @@ def cmd_enhance(args) -> int:
         raise DataError("two inputs share a name, so their outputs would "
                         "overwrite each other")
     out = _prepare_out(args.out, args.force)
-    rngs = [_name_rng(args.seed, name) for name in names]
-    enhanced = enhance_all(dnet, st.params_d, [y for _, y, _ in entries],
-                           rngs, sched, fast)
+    # each signal's noise stream is keyed by its name, not its position
+    rngs = [item_rng(args.seed, int.from_bytes(
+        hashlib.sha256(name.encode("utf-8")).digest()[:8], "big"))
+        for name in names]
+    enhanced = enhance_all(st.dnet, st.params_d, [y for _, y, _ in entries],
+                           rngs, st.schedule, fast)
     for (name, _, rate), xhat in zip(entries, enhanced):
         wav_write(os.path.join(out, f"{name}_enhanced.wav"), xhat, rate)
     _write_run_manifest(out, "enhance", st.config, {
@@ -204,14 +197,14 @@ def cmd_eval(args) -> int:
     metrics = [get_metric(m) for m in metric_names]
     given = _parse_fast_schedule(args.fast_schedule) \
         if args.fast_schedule else None
-    models = [_load_model(ckpt) for ckpt in args.ckpt]  # all before --out
+    states = [checkpoint_load(ckpt) for ckpt in args.ckpt]  # all before --out
     out = _prepare_out(args.out, args.force)
     reports = {}
-    for ckpt, (st, dnet, sched) in zip(args.ckpt, models):
+    for ckpt, st in zip(args.ckpt, states):
         fast = given
         if fast is None and args.fast_steps:  # a ladder for this chain
-            fast = default_fast_schedule(sched, args.fast_steps)
-        rep = evaluate(dnet, st.params_d, split, metrics, sched,
+            fast = default_fast_schedule(st.schedule, args.fast_steps)
+        rep = evaluate(st.dnet, st.params_d, split, metrics, st.schedule,
                        sampler="fast" if fast is not None else "full",
                        fast_betas=fast, seed=args.seed)
         label = os.path.basename(os.path.normpath(ckpt)) or ckpt
@@ -227,7 +220,7 @@ def cmd_eval(args) -> int:
         write_eval_csv(os.path.join(out, f"eval_{label}.csv"), rep)
     write_comparison_csv(os.path.join(out, "comparison.csv"), reports,
                          metric_names)
-    _write_run_manifest(out, "eval", models[-1][0].config, {
+    _write_run_manifest(out, "eval", states[-1].config, {
         "data": args.data, "seed": args.seed,
         "checkpoints": ";".join(args.ckpt)})
     print(f"comparison table at {os.path.join(out, 'comparison.csv')}")
@@ -236,14 +229,15 @@ def cmd_eval(args) -> int:
 
 def cmd_mismatch(args) -> int:
     split = _split_pairs(args.data, args.split)[: args.n]
-    st_e, dnet, sched = _load_model(args.ckpt_elbo)
+    st_e = checkpoint_load(args.ckpt_elbo)
     st_m = checkpoint_load(args.ckpt_metric)
     if replace(st_m.config, alpha=st_e.config.alpha) != st_e.config:
         raise ConfigError("checkpoints differ beyond alpha; the probe needs "
                           "a shared chain and nets")
     out = _prepare_out(args.out, args.force)
-    res = mismatch_experiment(dnet, st_e.params_d, st_m.params_d, split,
-                              sched, get_metric(args.reward_metric),
+    res = mismatch_experiment(st_e.dnet, st_e.params_d, st_m.params_d,
+                              split, st_e.schedule,
+                              get_metric(args.reward_metric),
                               get_metric(args.report_metric), seed=args.seed)
     write_mismatch_csv(os.path.join(out, "mismatch.csv"), res)
     _write_run_manifest(out, "mismatch", st_m.config, {

@@ -154,9 +154,14 @@ def wav_read(path) -> tuple[np.ndarray, int]:
             if n == 0:
                 raise DataError(f"{path}: zero-length file")
             raw = fh.readframes(n)
+            if len(raw) != 2 * n:
+                raise DataError(f"{path}: truncated, {len(raw) // 2} of "
+                                f"{n} samples")
             rate = fh.getframerate()
-    except wave.Error as exc:
+    except (wave.Error, EOFError) as exc:  # EOFError: a cut-off header
         raise DataError(f"{path}: not a readable WAV file ({exc})") from exc
+    except OSError as exc:  # missing, a directory, no permission
+        raise DataError(f"cannot read {path}: {exc}") from exc
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32767.0
     return samples, rate
 

@@ -9,6 +9,8 @@ a run is exactly replayable from its config and seed.
 Everything a run carries from one iteration to the next is one
 ``TrainState``: the config, the iteration count, both parameter sets and
 Adam states, the generator and the telemetry row of every iteration done.
+It also carries the chain and both nets its config implies, built once when
+the state is made, so a trained or loaded state is ready to enhance with.
 ``train`` starts a fresh state or resumes a given one, steps it in place and
 returns it; ``checkpoint_save`` writes all of it and ``checkpoint_load``
 reads it back, so a resumed run writes the same bytes as the straight one.
@@ -26,7 +28,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -212,16 +214,13 @@ def read_telemetry_csv(path) -> list[TelemetryRow]:
     return rows
 
 
-def build_dnet(cfg: TrainConfig) -> DiffusionNet:
-    return DiffusionNet(channels=cfg.d_channels, blocks=cfg.d_blocks,
+def build_nets(cfg: TrainConfig) -> tuple[DiffusionNet, ValueNet]:
+    dnet = DiffusionNet(channels=cfg.d_channels, blocks=cfg.d_blocks,
                         kernel=cfg.d_kernel, emb_dim=cfg.emb_dim,
                         max_time=float(max(200, 4 * cfg.steps)))
-
-
-def build_nets(cfg: TrainConfig) -> tuple[DiffusionNet, ValueNet]:
     vnet = ValueNet(channels=cfg.v_channels, kernel=cfg.v_kernel,
                     mlp_width=cfg.v_mlp_width)
-    return build_dnet(cfg), vnet
+    return dnet, vnet
 
 
 def resolve_metric(cfg: TrainConfig, sample_rate: int) -> MetricSpec:
@@ -239,7 +238,8 @@ _TELEMETRY_COLUMNS = TelemetryRow._fields[2:]  # stored; iter, phase derived
 
 @dataclass
 class TrainState:
-    """Everything a run carries from one iteration to the next."""
+    """Everything a run carries from one iteration to the next, and the
+    chain and nets its config implies."""
 
     config: TrainConfig
     iteration: int             # iterations done
@@ -249,6 +249,28 @@ class TrainState:
     adam_v: AdamState
     rng: np.random.Generator
     telemetry: list[TelemetryRow]  # one row per iteration done
+    # Built once per state, here; copy.deepcopy and pickle carry them along.
+    # They read no field that resume_state may change (alpha, n_total).
+    schedule: NoiseSchedule = field(init=False, compare=False, repr=False)
+    dnet: DiffusionNet = field(init=False, compare=False, repr=False)
+    vnet: ValueNet = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        cfg = self.config
+        self.schedule = build_schedule(cfg.steps, cfg.beta_min, cfg.beta_max)
+        self.dnet, self.vnet = build_nets(cfg)
+
+    @classmethod
+    def fresh(cls, cfg: TrainConfig) -> TrainState:
+        """Iteration 0 of ``cfg``'s run, both nets drawn from its seed; a
+        bad chain raises here."""
+        rng = np.random.Generator(np.random.PCG64(cfg.seed))
+        state = cls(cfg, 0, None, None, None, None, rng, [])
+        state.params_d = state.dnet.init_params(rng)
+        state.params_v = state.vnet.init_params(rng)
+        state.adam_d = AdamState.fresh(state.params_d)
+        state.adam_v = AdamState.fresh(state.params_v)
+        return state
 
     @property
     def l1_ref(self) -> float:
@@ -348,33 +370,17 @@ def checkpoint_load(path) -> TrainState:
     telemetry = [TelemetryRow(i, 1 if i <= cfg.n_th else 2, *vals)
                  for i, vals in enumerate(np.frombuffer(rows, "<f8").reshape(
                      iteration, len(_TELEMETRY_COLUMNS)).tolist(), 1)]
-    dnet, vnet = build_nets(cfg)
-    if params["d"].manifest != dnet.manifest or \
-            params["v"].manifest != vnet.manifest:
+    state = TrainState(cfg, iteration, params["d"], params["v"], adam["d"],
+                       adam["v"], rng, telemetry)
+    if state.params_d.manifest != state.dnet.manifest or \
+            state.params_v.manifest != state.vnet.manifest:
         raise CheckpointError(f"{path}: layer manifest does not match the "
                               "networks of its config")
-    return TrainState(cfg, iteration, params["d"], params["v"], adam["d"],
-                      adam["v"], rng, telemetry)
+    return state
 
 
 # ---------------------------------------------------------------------------
 # training
-
-@dataclass
-class TrainResult:
-    """The stepped run state plus what ``train`` built around it."""
-
-    state: TrainState
-    schedule: NoiseSchedule
-    dnet: DiffusionNet
-    vnet: ValueNet
-
-    config = property(lambda self: self.state.config)
-    iteration = property(lambda self: self.state.iteration)
-    params_d = property(lambda self: self.state.params_d)
-    params_v = property(lambda self: self.state.params_v)
-    telemetry = property(lambda self: self.state.telemetry)
-
 
 def resume_state(cfg: TrainConfig, resume) -> TrainState:
     """``resume``, a state or the checkpoint file it names, carrying ``cfg``.
@@ -411,9 +417,8 @@ def checkpoint_file(out_dir) -> str:
 
 
 def run_inputs(cfg: TrainConfig, corpus: list[SignalPair]):
-    """The chain, the stacked clean and degraded signals, and the reward
-    metric of a run; a bad chain, corpus or metric raises here."""
-    sched = build_schedule(cfg.steps, cfg.beta_min, cfg.beta_max)
+    """The stacked clean and degraded signals and the reward metric of a
+    run; a bad corpus or metric raises here."""
     if not corpus:
         raise DataError("empty training corpus")
     length = corpus[0].x0.size
@@ -425,33 +430,25 @@ def run_inputs(cfg: TrainConfig, corpus: list[SignalPair]):
             raise DataError("training corpus must share one sample rate")
     x0 = np.stack([p.x0 for p in corpus]).astype(np.float32)
     y = np.stack([p.y for p in corpus]).astype(np.float32)
-    return sched, x0, y, resolve_metric(cfg, rate)
+    return x0, y, resolve_metric(cfg, rate)
 
 
 def train(cfg: TrainConfig, corpus: list[SignalPair], out_dir=None,
           resume: TrainState | str | os.PathLike | None = None,
-          checkpoint_every: int = 0, iter_callback=None) -> TrainResult:
+          checkpoint_every: int = 0, iter_callback=None) -> TrainState:
     """Run a training run, or continue ``resume`` (a state or a checkpoint
-    file), to ``cfg.n_total`` iterations; the state is stepped in place.
+    file), to ``cfg.n_total`` iterations; the state is stepped in place and
+    returned.
 
     With ``out_dir`` set, ``telemetry.csv`` there is rewritten from the
     state's rows and then appended to as the run goes, and the state is
     checkpointed to ``out_dir/checkpoint`` every ``checkpoint_every``
     iterations and at the end.
     """
-    sched, x0mat, ymat, metric = run_inputs(cfg, corpus)
-    dnet, vnet = build_nets(cfg)
+    x0mat, ymat, metric = run_inputs(cfg, corpus)
     n_utt, length = x0mat.shape
-
-    if resume is None:
-        rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        params_d = dnet.init_params(rng)
-        params_v = vnet.init_params(rng)
-        state = TrainState(cfg, 0, params_d, params_v,
-                           AdamState.fresh(params_d),
-                           AdamState.fresh(params_v), rng, [])
-    else:
-        state = resume_state(cfg, resume)
+    state = TrainState.fresh(cfg) if resume is None \
+        else resume_state(cfg, resume)
 
     telemetry = state.telemetry
     if out_dir is not None:
@@ -470,11 +467,10 @@ def train(cfg: TrainConfig, corpus: list[SignalPair], out_dir=None,
         t_arr = rng.integers(1, cfg.steps + 1, size=cfg.batch)
         xb0 = x0mat[idx]
         yb = ymat[idx]
-        x_t = forward_sample_batch(xb0, yb, t_arr, eps, sched)
-        target = target_noise_batch(xb0, yb, t_arr, eps, sched)
+        x_t = forward_sample_batch(xb0, yb, t_arr, eps, state.schedule)
+        target = target_noise_batch(xb0, yb, t_arr, eps, state.schedule)
 
-        row = _update(state, i, sched, dnet, vnet, metric, x_t, yb, xb0,
-                      t_arr, target)
+        row = _update(state, i, metric, x_t, yb, xb0, t_arr, target)
         state.iteration = i
 
         telemetry.append(row)
@@ -500,11 +496,11 @@ def train(cfg: TrainConfig, corpus: list[SignalPair], out_dir=None,
             checkpoint_save(ckpt_path, state)
     if out_dir is not None:
         checkpoint_save(ckpt_path, state)
-    return TrainResult(state, sched, dnet, vnet)
+    return state
 
 
-def _update(state: TrainState, i: int, sched, dnet, vnet, metric, x_t, yb,
-            xb0, t_arr, target) -> TelemetryRow:
+def _update(state: TrainState, i: int, metric, x_t, yb, xb0, t_arr,
+            target) -> TelemetryRow:
     """Iteration ``i``'s updates and its telemetry row.
 
     The enhancer takes one Adam step on the L1 loss, plus ``alpha`` times
@@ -513,39 +509,39 @@ def _update(state: TrainState, i: int, sched, dnet, vnet, metric, x_t, yb,
     after the enhancer as ``update_v_first`` says.  The iteration's tapes,
     with every intermediate array and gradient, are freed on return.
     """
-    cfg = state.config
+    cfg, dnet = state.config, state.dnet
     phase1 = i <= cfg.n_th
     joint = not phase1 and cfg.alpha > 0
     pred = dnet.forward(state.params_d, x_t, yb, t_arr, params_tracked=True)
     critic = (math.nan,) * 3
     if joint and cfg.update_v_first:
-        critic = _critic_update(state, sched, dnet, vnet, metric, x_t, yb,
-                                xb0, t_arr, pred.value)
+        critic = _critic_update(state, metric, x_t, yb, xb0, t_arr,
+                                pred.value)
     l1_t = ad.mean_all(ad.abs_(ad.sub(pred, ad.const(target))))
     loss, l2 = l1_t, math.nan
     if joint:
-        l2_t = rl.actor_loss(vnet, state.params_v, x_t, pred, xb0)
+        l2_t = rl.actor_loss(state.vnet, state.params_v, x_t, pred, xb0)
         loss, l2 = ad.add(l1_t, ad.scale(l2_t, cfg.alpha)), float(l2_t.value)
     ad.backward(loss)
     dnet.accumulate_grads(state.params_d)
     adam_step(state.params_d, state.adam_d,
               cfg.lr_d if phase1 else cfg.lr_d_joint)
     if joint and not cfg.update_v_first:
-        critic = _critic_update(state, sched, dnet, vnet, metric, x_t, yb,
-                                xb0, t_arr, pred.value)
+        critic = _critic_update(state, metric, x_t, yb, xb0, t_arr,
+                                pred.value)
     return TelemetryRow(i, 1 if phase1 else 2, float(l1_t.value), l2,
                         *critic)
 
 
-def _critic_update(state: TrainState, sched, dnet, vnet, metric, x_t, yb,
-                   xb0, t_arr, action) -> tuple[float, float, float]:
+def _critic_update(state: TrainState, metric, x_t, yb, xb0, t_arr,
+                   action) -> tuple[float, float, float]:
     """One scorer update on the executed ``action``; returns the Bellman
     loss and the mean reward and target."""
-    cfg = state.config
-    x_prev = reverse_mean_batch(x_t, yb, action, t_arr, sched)
+    cfg, vnet = state.config, state.vnet
+    x_prev = reverse_mean_batch(x_t, yb, action, t_arr, state.schedule)
     rew = rl.reward(x_prev, x_t, xb0, metric)
     targets = rl.critic_target(rew, t_arr, cfg.gamma, vnet, state.params_v,
-                               dnet, state.params_d, x_prev, yb, xb0)
+                               state.dnet, state.params_d, x_prev, yb, xb0)
     l3_t = rl.bellman_loss(vnet, state.params_v, x_t, action, xb0, targets)
     ad.backward(l3_t)
     vnet.accumulate_grads(state.params_v)
@@ -593,6 +589,13 @@ def enhance_all(dnet: DiffusionNet, params_d: ParamSet, signals, rngs,
     return out
 
 
+def item_rng(seed: int, key: int) -> np.random.Generator:
+    """The noise stream of item ``key`` under ``seed``: a child of the seed
+    keyed by the item, so its draws do not depend on what else is walked."""
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
+
+
 @dataclass
 class EvalRow:
     id: str
@@ -635,9 +638,7 @@ def evaluate(dnet: DiffusionNet, params_d: ParamSet,
         raise ConfigError(f"sampler must be 'full' or 'fast', got {sampler!r}")
     if sampler == "fast" and fast_betas is None:
         raise ConfigError("fast sampling needs fast_betas")
-    rngs = [np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-        for k in range(len(pairs))]
+    rngs = [item_rng(seed, k) for k in range(len(pairs))]
     enhanced = enhance_all(dnet, params_d, [p.y for p in pairs], rngs, sched,
                            fast_betas if sampler == "fast" else None)
     return EvalReport([
@@ -697,11 +698,11 @@ def alpha_sweep(base: TrainConfig, train_pairs: list[SignalPair],
             cfg = replace(base, alpha=float(a), seed=int(s))
             if cfg.n_th and cfg.seed not in warm:
                 warm[cfg.seed] = train(replace(cfg, n_total=cfg.n_th),
-                                       train_pairs).state
+                                       train_pairs)
             resume = copy.deepcopy(warm[cfg.seed]) if cfg.n_th else None
-            res = train(cfg, train_pairs, resume=resume)
-            rep = evaluate(res.dnet, res.params_d, test_pairs, metrics,
-                           res.schedule, seed=int(s) + 7919)
+            st = train(cfg, train_pairs, resume=resume)
+            rep = evaluate(st.dnet, st.params_d, test_pairs, metrics,
+                           st.schedule, seed=int(s) + 7919)
             for srow in rep.summary():
                 long_rows.append((float(a), int(s), srow["metric"],
                                   srow["enhanced_mean"], srow["noisy_mean"],
@@ -758,8 +759,7 @@ def mismatch_experiment(dnet: DiffusionNet, params_elbo: ParamSet,
         raise DataError("mismatch probe needs at least 3 utterances")
     rows = []
     for k, pair in enumerate(pairs):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+        rng = item_rng(seed, k)
         x0_32 = pair.x0.astype(np.float32)
         y32 = pair.y.astype(np.float32)
         x0b = x0_32[None, :]

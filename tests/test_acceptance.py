@@ -188,7 +188,7 @@ def test_c8_stepwise_reward_tracks_quality_better_than_the_loss(report):
     # both models continue one warm-up, as alpha_sweep's do; each equals
     # its straight run bit for bit
     warm = train(replace(C7_BASE, seed=0, n_total=C7_BASE.n_th),
-                 train_pairs).state
+                 train_pairs)
     elbo = train(replace(C7_BASE, alpha=0.0, seed=0), train_pairs,
                  resume=copy.deepcopy(warm))
     metric_run = train(replace(C7_BASE, alpha=1.0, seed=0), train_pairs,

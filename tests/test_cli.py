@@ -157,6 +157,42 @@ def test_enhance_refusals_leave_no_out_behind(work, tmp_path):
         assert not out.exists()
 
 
+def test_enhance_unreadable_inputs_are_data_errors(work, tmp_path, capsys):
+    # a WAV path that names nothing or a directory, and a manifest row whose
+    # WAV is gone: exit 3 naming the path, and no --out is created
+    from mose import synth_corpus, write_corpus
+    a_dir = tmp_path / "a_dir.wav"
+    a_dir.mkdir()
+    pairs = synth_corpus(seed=2, n_utterances=2, length=256, snr_levels=[0])
+    manifest = write_corpus(pairs, tmp_path / "c")
+    gone = tmp_path / "c" / f"{pairs[1].id}_noisy.wav"
+    gone.unlink()
+    capsys.readouterr()
+    for k, (argv, path) in enumerate([([str(tmp_path / "missing.wav")],
+                                       tmp_path / "missing.wav"),
+                                      ([str(a_dir)], a_dir),
+                                      (["--data", manifest], gone)]):
+        out = tmp_path / f"o{k}"
+        rc = main(["enhance", *argv, "--ckpt", str(work["ckpt_e"]),
+                   "--out", str(out)])
+        assert rc == 3
+        assert not out.exists()
+        assert str(path) in capsys.readouterr().err
+
+
+def test_out_that_is_a_file_is_config_error(tmp_path, capsys):
+    # --out names a file: exit 2, with or without --force, and the file is
+    # left as it was
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    for force in ([], ["--force"]):
+        rc = main(["synth", "--out", str(afile), "--n-train", "1",
+                   "--n-test", "1", "--length", "64", *force])
+        assert rc == 2
+        assert "not a directory" in capsys.readouterr().err
+    assert afile.read_text() == "keep\n"
+
+
 def test_eval_comparison_table(work, tmp_path, capsys):
     out = tmp_path / "ev"
     rc = main(["eval", "--ckpt", str(work["ckpt_e"]),

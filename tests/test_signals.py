@@ -1,6 +1,7 @@
 """Corpus synthesis, SNR mixing, and WAV round trips."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -191,8 +192,35 @@ def test_wav_read_error_paths(tmp_path, rng):
     with pytest.raises(DataError):
         wav_read(garbage)
 
+    # a file cut off inside its header, or inside its samples
+    whole = tmp_path / "whole.wav"
+    wav_write(whole, np.zeros(100), 8000)
+    blob = whole.read_bytes()
+    for size, match in ((4, "not a readable"), (30, "not a readable"),
+                        (60, "truncated, 8 of 100 samples")):
+        cut = tmp_path / f"cut{size}.wav"
+        cut.write_bytes(blob[:size])
+        with pytest.raises(DataError, match=match):
+            wav_read(cut)
+
     with pytest.raises(DataError):
         wav_write(tmp_path / "bad.wav", np.zeros((2, 2)), 8000)
+
+
+def test_wav_read_unreadable_paths_are_data_errors(tmp_path):
+    # a missing file, a directory, and a manifest row whose WAV is gone:
+    # each a DataError naming the path, not an OSError
+    a_dir = tmp_path / "a_dir.wav"
+    a_dir.mkdir()
+    for path in (tmp_path / "missing.wav", a_dir):
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            wav_read(path)
+    pairs = synth_corpus(seed=2, n_utterances=2, length=64, snr_levels=[0])
+    manifest = write_corpus(pairs, tmp_path / "c")
+    gone = tmp_path / "c" / f"{pairs[1].id}_noisy.wav"
+    gone.unlink()
+    with pytest.raises(DataError, match=re.escape(str(gone))):
+        load_corpus(manifest)
 
 
 # ---------------------------------------------------------------------------

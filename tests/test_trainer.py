@@ -233,7 +233,7 @@ def test_zero_alpha_equals_regression_only(corpus):
     dnet, vnet = build_nets(cfg)
     dnet.init_params(rng)
     assert np.array_equal(res.params_v.flat, vnet.init_params(rng).flat)
-    assert res.state.adam_v.step == 0
+    assert res.adam_v.step == 0
     assert res.telemetry[-1].phase == 2
     assert all(math.isnan(r.l3) for r in res.telemetry)
 
@@ -242,10 +242,9 @@ def test_critic_update_leaves_the_enhancer_alone(corpus):
     # a scorer update reads the enhancer (the bootstrap's next action) but
     # writes nothing of it: parameters, gradient buffer or Adam state
     from dataclasses import replace
-    res = train(replace(MICRO, n_total=MICRO.n_th), corpus)
-    state = res.state
-    state.params_v = res.vnet.init_params(np.random.default_rng(1),
-                                          zero_head=False)
+    state = train(replace(MICRO, n_total=MICRO.n_th), corpus)
+    state.params_v = state.vnet.init_params(np.random.default_rng(1),
+                                            zero_head=False)
     state.adam_v = trainer.AdamState.fresh(state.params_v)
     state.params_d.grad[:] = np.random.default_rng(2).standard_normal(
         state.params_d.size)
@@ -258,10 +257,10 @@ def test_critic_update_leaves_the_enhancer_alone(corpus):
     t = np.array([3, 5])
     eps = np.random.default_rng(3).standard_normal(x0.shape).astype(
         np.float32)
-    x_t = trainer.forward_sample_batch(x0, y, t, eps, res.schedule)
-    action = res.dnet.forward(state.params_d, x_t, y, t).value
-    trainer._critic_update(state, res.schedule, res.dnet, res.vnet,
-                           get_metric("si_snr"), x_t, y, x0, t, action)
+    x_t = trainer.forward_sample_batch(x0, y, t, eps, state.schedule)
+    action = state.dnet.forward(state.params_d, x_t, y, t).value
+    trainer._critic_update(state, get_metric("si_snr"), x_t, y, x0, t,
+                           action)
 
     after = (state.params_d.flat, state.params_d.grad, state.adam_d.m,
              state.adam_d.v)
@@ -372,9 +371,9 @@ def interrupt_and_resume(tmp_path, corpus, cfg, every, kill, in_memory):
     assert sorted(os.listdir(dir_a)) == sorted(os.listdir(dir_b))
     assert (dir_a / "checkpoint").read_bytes() == \
         (dir_b / "checkpoint").read_bytes()
-    assert res.state.l1_ref == ref.state.l1_ref
+    assert res.l1_ref == ref.l1_ref
     if in_memory:
-        assert res.state is resume
+        assert res is resume
 
 
 def test_interrupted_resume_is_bit_identical(tmp_path, corpus):
@@ -411,7 +410,7 @@ def test_a_forked_warm_up_equals_the_straight_runs(tmp_path, corpus, n_th,
     # at n_th = 12 the fork starts before the guard's 20-row window is full
     from dataclasses import replace
     cfg = replace(MICRO, n_total=30, n_th=n_th)
-    warm = train(replace(cfg, alpha=5.0, n_total=n_th), corpus).state
+    warm = train(replace(cfg, alpha=5.0, n_total=n_th), corpus)
     for alpha in (0.0, 1.0):
         run = replace(cfg, alpha=alpha)
         fork = copy.deepcopy(warm) if route == "deepcopy" \
@@ -419,7 +418,7 @@ def test_a_forked_warm_up_equals_the_straight_runs(tmp_path, corpus, n_th,
         a, b = tmp_path / f"straight{alpha}", tmp_path / f"fork{alpha}"
         ref = train(run, corpus, out_dir=a)
         res = train(run, corpus, out_dir=b, resume=fork)
-        assert res.state is fork and res.config == run
+        assert res is fork and res.config == run
         assert np.array_equal(res.params_d.flat, ref.params_d.flat)
         assert np.array_equal(res.params_v.flat, ref.params_v.flat)
         assert (a / "telemetry.csv").read_text() == \
@@ -433,13 +432,35 @@ def test_a_forked_warm_up_equals_the_straight_runs(tmp_path, corpus, n_th,
                                 corpus).params_d.flat)
 
 
+@pytest.mark.parametrize("route", ["checkpoint", "deepcopy", "pickle"])
+def test_a_state_enhances_as_the_one_it_came_from(tmp_path, corpus, route):
+    # a run is its state: the checkpoint it wrote, or a copy of it, carries
+    # the chain and enhancer its config implies, and scores every utterance
+    # through them to the bit, on both samplers
+    st = train(MICRO, corpus, out_dir=tmp_path)
+    assert isinstance(st, trainer.TrainState)
+    other = checkpoint_load(tmp_path / "checkpoint") if route == "checkpoint" \
+        else copy.deepcopy(st) if route == "deepcopy" \
+        else pickle.loads(pickle.dumps(st))
+    assert other.dnet is not st.dnet and other.schedule is not st.schedule
+    assert other.dnet.manifest == st.dnet.manifest
+    assert other.vnet.manifest == st.vnet.manifest
+    metrics = [get_metric("si_snr"), get_metric("seg_snr")]
+    rows = [[evaluate(s.dnet, s.params_d, corpus, metrics, s.schedule,
+                      sampler=sampler,
+                      fast_betas=default_fast_schedule(s.schedule, 4),
+                      seed=7).rows
+             for sampler in ("full", "fast")] for s in (st, other)]
+    assert rows[0] == rows[1]
+
+
 def test_resume_refuses_every_other_change(corpus):
     # alpha and n_total may change only at or before n_th; no other field
     # may change at all, and a refusal leaves the state's config alone
     from dataclasses import fields, replace
     cfg = replace(MICRO, n_total=30, n_th=12)
-    warm = train(replace(cfg, n_total=12), corpus).state
-    done = train(cfg, corpus).state
+    warm = train(replace(cfg, n_total=12), corpus)
+    done = train(cfg, corpus)
 
     def changed(value):
         if isinstance(value, bool):
@@ -542,7 +563,7 @@ def test_checkpoint_save_syncs_the_directory_after_the_rename(
         tmp_path, corpus, monkeypatch):
     # the rename is durable only once the directory is synced; before that a
     # power loss may bring back the previous checkpoint
-    state = train(MICRO, corpus).state
+    state = train(MICRO, corpus)
     path = tmp_path / "checkpoint"
     real_fsync = os.fsync
     synced = []
