@@ -211,28 +211,23 @@ def squeeze_last(a: Tensor) -> Tensor:
     return Tensor(out, (a,), grad_fn)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x (B, F) @ w (F, G) + b (G,)."""
-    out = x.value @ w.value
-    if b is not None:
-        out = out + b.value
+    out = x.value @ w.value + b.value
 
     def grad_fn(g):
-        dx = g @ w.value.T if x.track else None
-        dw = x.value.T @ g if w.track else None
-        if b is None:
-            return dx, dw
-        return dx, dw, g.sum(axis=0) if b.track else None
+        return (g @ w.value.T if x.track else None,
+                x.value.T @ g if w.track else None,
+                g.sum(axis=0) if b.track else None)
 
-    parents = (x, w) if b is None else (x, w, b)
-    return Tensor(out, parents, grad_fn)
+    return Tensor(out, (x, w, b), grad_fn)
 
 
-def conv1d(x: Tensor, w: Tensor, b: Tensor | None,
-           stride: int = 1, dilation: int = 1) -> Tensor:
+def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
+           dilation: int = 1) -> Tensor:
     """Batched 1-D convolution with symmetric zero padding.
 
-    x: (B, C, L), w: (O, C, K), b: (O,) or None.  Output length is
+    x: (B, C, L), w: (O, C, K), b: (O,).  Output length is
     ceil(L / stride); padding is chosen so every output sample has a full
     kernel footprint over the padded input.  Only an input that needs
     padding is copied; width-1, stride-1 kernels read ``x`` in place.  The
@@ -261,8 +256,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None,
     out = np.matmul(w.value[:, :, 0], segs[0])
     for k in range(1, K):
         out += np.matmul(w.value[:, :, k], segs[k])
-    if b is not None:
-        out += b.value[:, None]
+    out += b.value[:, None]
 
     def grad_fn(g):
         dx = dw = None
@@ -279,12 +273,9 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None,
                 dxp[:, :, k * dilation: k * dilation + stop: stride] += \
                     np.matmul(w.value[:, :, k].T, g)
             dx = dxp[:, :, pl: pl + L]
-        if b is None:
-            return dx, dw
         return dx, dw, g.sum(axis=(0, 2)) if b.track else None
 
-    parents = (x, w) if b is None else (x, w, b)
-    return Tensor(out, parents, grad_fn)
+    return Tensor(out, (x, w, b), grad_fn)
 
 
 # No network uses concat, unbatch or index_first.  They stay because the

@@ -13,10 +13,12 @@ perfect prediction recovers x0 from any latent in one division.
 
 Reverse steps use the schedule's precomputed posterior coefficients.  The
 chain starts at sqrt(ab_T) * y (plus start noise when a generator is given)
-and walks t = T..1; the last step adds no noise.  Fast sampling runs the same
-walk over a short schedule built from explicit inference variances whose
-fractional positions on the training chain are found by matching
-sqrt(alpha_bar); positions feed only the step embedding.
+and walks t = T..1; the last step adds no noise.  ``reverse_walk`` is the one
+walk loop: it yields every transition, and ``enhance`` and ``fast_sample``
+return its last state.  Fast sampling runs the same walk over a short
+schedule built from explicit inference variances whose fractional positions
+on the training chain are found by matching sqrt(alpha_bar); positions feed
+only the step embedding.
 """
 
 from __future__ import annotations
@@ -77,22 +79,44 @@ def reverse_mean_batch(x_t: np.ndarray, y: np.ndarray, eps_hat: np.ndarray,
 def _standard_normal(like: np.ndarray, gens) -> np.ndarray:
     """Standard normals shaped like (B, L) ``like``, row b from ``gens[b]``."""
     z = np.empty(like.shape, dtype=like.dtype)
-    for row, g in zip(z, gens):
+    for row, g in zip(z, gens, strict=True):
         row[...] = g.standard_normal(like.shape[1])
     return z
 
 
+def reverse_step(x: np.ndarray, rows: np.ndarray, eps_hat: np.ndarray,
+                 s: int, chain: NoiseSchedule, gens) -> np.ndarray:
+    """Step s -> s-1 of (B, L) latents: the posterior mean plus
+    sqrt(delta_tilde[s]) z, row b's z from ``gens[b]``.  Step 1, and every
+    step with no ``gens``, adds no noise."""
+    x = reverse_mean_batch(x, rows, eps_hat, np.full(len(rows), s), chain)
+    if s > 1 and gens is not None:
+        x = x + math.sqrt(float(chain.delta_tilde[s])) \
+            * _standard_normal(rows, gens)
+    return x
+
+
+def reverse_walk(net, params, rows: np.ndarray, chain: NoiseSchedule,
+                 step_inputs: np.ndarray, gens=None):
+    """Walk (B, L) conditioners from sqrt(ab_T) * rows (plus start noise
+    when ``gens``, one generator per row, is given) to step 0, yielding
+    ``(s, x_s, x_{s-1})`` for s = T..1.  The net sees ``step_inputs[s-1]``
+    as chain step s.  Row b draws only from ``gens[b]``, so each row is
+    bit-identical to walking it alone."""
+    S = chain.T
+    x = math.sqrt(float(chain.alpha_bar[S])) * rows
+    if gens is not None:
+        x = x + math.sqrt(float(chain.delta[S])) * _standard_normal(rows, gens)
+    for s in range(S, 0, -1):
+        eps_hat = net.forward(params, x, rows, float(step_inputs[s - 1])).value
+        x_prev = reverse_step(x, rows, eps_hat, s, chain, gens)
+        yield s, x, x_prev
+        x = x_prev
+
+
 def _reverse_chain(net, params, y: np.ndarray, chain: NoiseSchedule,
                    step_inputs: np.ndarray, rng) -> np.ndarray:
-    """Walk a reverse chain from its terminal marginal down to step 0.
-
-    ``step_inputs[s-1]`` is what the network sees as the step index for
-    chain step s; for the training chain these are just 1..T.  A (B, L)
-    ``y`` walks B chains in one batch and needs a sequence of B generators,
-    row b drawing its noise from ``rng[b]``, so every row is bit-identical
-    to walking that row alone; an (L,) ``y`` walks as one row.  With no
-    ``rng`` the walk adds no noise: it follows the posterior means.
-    """
+    """``reverse_walk``'s last state for ``enhance``'s ``y`` and ``rng``."""
     y = np.asarray(y)
     rows = y[None, :] if y.ndim == 1 else y
     gens = None
@@ -101,16 +125,8 @@ def _reverse_chain(net, params, y: np.ndarray, chain: NoiseSchedule,
         if isinstance(gens, np.random.Generator) or len(gens) != len(rows):
             raise ValueError(f"a {y.shape} conditioner needs one generator "
                              f"per row ({len(rows)})")
-    S = chain.T
-    x = math.sqrt(float(chain.alpha_bar[S])) * rows
-    if gens is not None:
-        x = x + math.sqrt(float(chain.delta[S])) * _standard_normal(rows, gens)
-    for s in range(S, 0, -1):
-        eps_hat = net.forward(params, x, rows, float(step_inputs[s - 1])).value
-        x = reverse_mean_batch(x, rows, eps_hat, np.full(len(rows), s), chain)
-        if s > 1 and gens is not None:
-            x = x + math.sqrt(float(chain.delta_tilde[s])) \
-                * _standard_normal(rows, gens)
+    for _, _, x in reverse_walk(net, params, rows, chain, step_inputs, gens):
+        pass
     return x[0] if y.ndim == 1 else x
 
 

@@ -28,7 +28,6 @@ class StepEmbedding:
     def __init__(self, dim: int = 16, max_time: float = 200.0):
         if dim < 2 or dim % 2 != 0:
             raise ValueError("embedding dim must be an even integer >= 2")
-        self.dim = dim
         self.max_time = float(max_time)
         half = dim // 2
         # geometric frequency ladder from 1 down to 1/max_time
@@ -142,9 +141,7 @@ class DiffusionNet(_TapeNet):
 
     def __init__(self, channels: int = 16, blocks: int = 4, kernel: int = 3,
                  emb_dim: int = 16, max_time: float = 200.0):
-        self.channels = channels
         self.blocks = blocks
-        self.kernel = kernel
         self.embedding = StepEmbedding(emb_dim, max_time)
         m = [("in_proj.w", (channels, 2, 1)), ("in_proj.b", (channels,))]
         for i in range(blocks):
@@ -186,10 +183,7 @@ class ValueNet(_TapeNet):
 
     def __init__(self, channels: int = 16, kernel: int = 5,
                  strides=(4, 4, 4), mlp_width: int = 32):
-        self.channels = channels
-        self.kernel = kernel
         self.strides = tuple(strides)
-        self.mlp_width = mlp_width
         m = []
         c_in = 3
         for i, _ in enumerate(self.strides):

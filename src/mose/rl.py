@@ -1,4 +1,4 @@
-"""Actor-critic pieces that point the enhancer at a quality metric.
+"""The enhancer's L1 loss and the actor-critic terms aimed at a metric.
 
 The enhancer acting at step t emits a noise prediction; executing it moves
 the trajectory to x_{t-1}.  The reward is the metric improvement of that
@@ -29,6 +29,11 @@ def reward(x_prev: np.ndarray, x_t: np.ndarray, x0: np.ndarray,
         rew[b] = metric.evaluate(x_prev[b], x0[b]) \
             - metric.evaluate(x_t[b], x0[b])
     return rew
+
+
+def l1_loss(pred: ad.Tensor, target: np.ndarray) -> ad.Tensor:
+    """Mean absolute error of the noise prediction, every iteration's loss."""
+    return ad.mean_all(ad.abs_(ad.sub(pred, ad.const(target))))
 
 
 def actor_loss(value_net, params_v, x_t, eps_hat: ad.Tensor,

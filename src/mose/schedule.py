@@ -122,6 +122,9 @@ class NoiseSchedule:
     coef_y: np.ndarray
     coef_eps: np.ndarray
 
+    def __reduce__(self):  # copies rebuild the table, so it stays read-only
+        return schedule_from_betas, (self.beta[1:], self.weight_mode)
+
 
 def schedule_from_betas(betas, weight_mode: str = "interpolated") -> NoiseSchedule:
     """Build the full constant table from explicit variance increments."""

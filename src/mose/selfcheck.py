@@ -18,11 +18,11 @@ from dataclasses import replace
 import numpy as np
 
 from . import autodiff as ad
-from .diffusion import (enhance, forward_sample_batch, reverse_mean_batch,
-                        target_noise_batch)
+from .diffusion import (enhance, forward_sample_batch, reverse_step,
+                        reverse_walk, target_noise_batch)
 from .metric import get_metric, neg_mse, si_snr
 from .nets import DiffusionNet, ValueNet
-from .rl import actor_loss, bellman_loss, reward
+from .rl import actor_loss, bellman_loss, l1_loss, reward
 from .schedule import NoiseSchedule, build_schedule
 from .signals import synth_corpus
 from .trainer import TrainConfig, checkpoint_load, read_telemetry_csv, train
@@ -79,8 +79,8 @@ def c2_zero_weight_mismatches() -> list[tuple[int, str]]:
         # unconditional recursion fed the same predictions and draws
         eps_hat = gen.standard_normal((T + 1, n))
         seed = int(gen.integers(2 ** 32))
-        got_r = enhance(_FixedPredictor(eps_hat), None, y[0], sched,
-                        rng=np.random.default_rng(seed))
+        got_r = enhance(_FixedPredictor(eps_hat), None, y, sched,
+                        rng=[np.random.default_rng(seed)])[0]
         z = np.random.default_rng(seed)
         ab_T = float(sched.alpha_bar[T])
         ref_r = math.sqrt(ab_T) * y[0] \
@@ -100,24 +100,22 @@ def c2_zero_weight_mismatches() -> list[tuple[int, str]]:
 
 
 def c3_marginal_offsets() -> list[tuple[int, float, float]]:
-    """One reverse step from Monte-Carlo draws of the t marginal; returns
-    (t, mean offset, variance offset) from the t-1 marginal, in SEs."""
+    """One ``reverse_step``, fed the exact target, from Monte-Carlo forward
+    draws of the t marginal; returns (t, mean offset, variance offset) from
+    the t-1 marginal, in SEs."""
     sched = build_schedule(50, 1e-4, 0.035)
     gen = np.random.default_rng(7)
     n = 100_000
     x0, y = 0.4, -0.7
+    # n scalar draws as the n samples of one row
+    x0_row, y_row = np.full((1, n), x0), np.full((1, n), y)
     checks = []
     for t in (2, 10, 25, 49):
-        w, ab, d = (float(sched.w[t]), float(sched.alpha_bar[t]),
-                    float(sched.delta[t]))
-        eps = gen.standard_normal(n)
-        x_t = (1 - w) * math.sqrt(ab) * x0 + w * math.sqrt(ab) * y \
-            + math.sqrt(d) * eps
-        c_t = (x_t - math.sqrt(ab) * x0) / math.sqrt(1 - ab)
-        z = gen.standard_normal(n)
-        x_prev = (sched.coef_x[t] * x_t + sched.coef_y[t] * y
-                  - sched.coef_eps[t] * c_t
-                  + math.sqrt(sched.delta_tilde[t]) * z)
+        t_b = np.array([t])
+        eps = gen.standard_normal((1, n))
+        x_t = forward_sample_batch(x0_row, y_row, t_b, eps, sched)
+        c_t = target_noise_batch(x0_row, y_row, t_b, eps, sched)
+        x_prev = reverse_step(x_t, y_row, c_t, t, sched, [gen])
         wp, abp, dp = (float(sched.w[t - 1]), float(sched.alpha_bar[t - 1]),
                        float(sched.delta[t - 1]))
         mean_ref = (1 - wp) * math.sqrt(abp) * x0 + wp * math.sqrt(abp) * y
@@ -183,14 +181,13 @@ def c4_gradient_errors() -> dict[str, tuple[float, int]]:
 
     # path 1: regression loss into the enhancer parameters
     out = dnet.forward(pd, x_t, y, tb, params_tracked=True)
-    ad.backward(ad.mean_all(ad.abs_(ad.sub(out, ad.const(tgt)))))
+    ad.backward(l1_loss(out, tgt))
     pd.zero_grad()
     dnet.accumulate_grads(pd)
     g1 = pd.grad.copy()
 
     def l1_value():
-        v = dnet.forward(pd, x_t, y, tb).value
-        return float(np.mean(np.abs(v - tgt)))
+        return float(l1_loss(dnet.forward(pd, x_t, y, tb), tgt).value)
 
     order = np.random.default_rng(11).permutation(pd.size)
     results["l1/theta_d"] = _fd_check(l1_value, pd.flat, g1, order)
@@ -204,8 +201,8 @@ def c4_gradient_errors() -> dict[str, tuple[float, int]]:
     g2 = pd.grad.copy()
 
     def l2_value():
-        v = dnet.forward(pd, x_t, y, tb).value
-        return -float(np.mean(vnet.forward(pv, x_t, v, x0).value))
+        out = dnet.forward(pd, x_t, y, tb)
+        return float(actor_loss(vnet, pv, x_t, out, x0).value)
 
     order = np.random.default_rng(13).permutation(pd.size)
     results["l2/theta_d"] = _fd_check(l2_value, pd.flat, g2, order)
@@ -219,8 +216,8 @@ def c4_gradient_errors() -> dict[str, tuple[float, int]]:
     g3 = pv.grad.copy()
 
     def l3_value():
-        v = vnet.forward(pv, x_t, eps_fixed, x0).value
-        return float(np.mean((targets - v) ** 2))
+        return float(bellman_loss(vnet, pv, x_t, eps_fixed, x0,
+                                  targets).value)
 
     order = np.random.default_rng(17).permutation(pv.size)
     results["l3/theta_v"] = _fd_check(l3_value, pv.flat, g3, order)
@@ -240,14 +237,11 @@ def c5_telescoping_gap() -> float:
     x0 = np.stack([c for c, _ in draws]).astype(np.float32)
     y = (x0 + 0.4 * np.stack([e for _, e in draws])).astype(np.float32)
     # 100 deterministic rollouts, walked as one batch
-    x = start = np.float32(math.sqrt(float(sched.alpha_bar[sched.T]))) * y
-    total = np.zeros(len(x))
-    for t in range(sched.T, 0, -1):
-        eps_hat = dnet.forward(params, x, y, float(t)).value
-        x_prev = reverse_mean_batch(x, y, eps_hat, np.full(len(x), t), sched)
-        total += reward(x_prev, x, x0, metric)
-        x = x_prev
-    return float(np.max(np.abs(total - reward(x, start, x0, metric))))
+    walk = list(reverse_walk(dnet, params, y, sched,
+                             np.arange(1.0, sched.T + 1)))
+    total = sum(reward(x_prev, x_s, x0, metric) for _, x_s, x_prev in walk)
+    end_to_end = reward(walk[-1][2], walk[0][1], x0, metric)
+    return float(np.max(np.abs(total - end_to_end)))
 
 
 C6_CONFIG = TrainConfig(n_total=50, n_th=25, batch=2, seed=4, steps=8,

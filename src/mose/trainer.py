@@ -36,7 +36,7 @@ import numpy as np
 from . import autodiff as ad
 from . import rl
 from .diffusion import (enhance, fast_sample, forward_sample_batch,
-                        reverse_mean_batch, target_noise_batch)
+                        reverse_mean_batch, reverse_walk, target_noise_batch)
 from .errors import CheckpointError, ConfigError, DataError, DivergenceError
 from .metric import MetricSpec, external_metric, get_metric
 from .nets import AdamState, DiffusionNet, ParamSet, ValueNet, adam_step
@@ -181,7 +181,7 @@ class TelemetryRow(NamedTuple):
     target_mean: float
 
 
-TELEMETRY_HEADER = "iter,phase,l1,l2,l3,reward_mean,target_mean"
+TELEMETRY_HEADER = ",".join(TelemetryRow._fields)
 
 
 def write_telemetry_csv(path, rows, append: bool = False) -> None:
@@ -192,8 +192,7 @@ def write_telemetry_csv(path, rows, append: bool = False) -> None:
         if not append:
             fh.write(TELEMETRY_HEADER + "\n")
         for r in rows:
-            fh.write(f"{r.iter},{r.phase},{r.l1!r},{r.l2!r},{r.l3!r},"
-                     f"{r.reward_mean!r},{r.target_mean!r}\n")
+            fh.write(",".join(map(repr, r)) + "\n")
         fh.flush()
         os.fsync(fh.fileno())
 
@@ -517,7 +516,7 @@ def _update(state: TrainState, i: int, metric, x_t, yb, xb0, t_arr,
     if joint and cfg.update_v_first:
         critic = _critic_update(state, metric, x_t, yb, xb0, t_arr,
                                 pred.value)
-    l1_t = ad.mean_all(ad.abs_(ad.sub(pred, ad.const(target))))
+    l1_t = rl.l1_loss(pred, target)
     loss, l2 = l1_t, math.nan
     if joint:
         l2_t = rl.actor_loss(state.vnet, state.params_v, x_t, pred, xb0)
@@ -760,25 +759,22 @@ def mismatch_experiment(dnet: DiffusionNet, params_elbo: ParamSet,
     rows = []
     for k, pair in enumerate(pairs):
         rng = item_rng(seed, k)
-        x0_32 = pair.x0.astype(np.float32)
-        y32 = pair.y.astype(np.float32)
-        x0b = x0_32[None, :]
-        yb = y32[None, :]
+        x0b = pair.x0.astype(np.float32)[None, :]
+        yb = pair.y.astype(np.float32)[None, :]
         elbo_sum = 0.0
         for t in range(1, sched.T + 1):
             t_b = np.array([t])
-            eps = rng.standard_normal((1, y32.size)).astype(np.float32)
+            eps = rng.standard_normal(yb.shape).astype(np.float32)
             x_t = forward_sample_batch(x0b, yb, t_b, eps, sched)
             target = target_noise_batch(x0b, yb, t_b, eps, sched)
-            pred = dnet.forward(params_elbo, x_t, yb,
-                                t_b.astype(np.float64)).value
-            elbo_sum += float(np.mean(np.abs(pred - target)))
+            pred = dnet.forward(params_elbo, x_t, yb, t_b.astype(np.float64))
+            elbo_sum += float(rl.l1_loss(pred, target).value)
 
-        start = math.sqrt(float(sched.alpha_bar[sched.T])) * y32
-        x = enhance(dnet, params_metric, y32, sched)
-        total_r = float(rl.reward(x[None], start[None], pair.x0[None],
-                                  reward_metric)[0])
-        delta = report_metric.evaluate(x, pair.x0) \
+        walk = list(reverse_walk(dnet, params_metric, yb, sched,
+                                 np.arange(1.0, sched.T + 1)))
+        start, x = walk[0][1], walk[-1][2]
+        total_r = float(rl.reward(x, start, pair.x0[None], reward_metric)[0])
+        delta = report_metric.evaluate(x[0], pair.x0) \
             - report_metric.evaluate(pair.y, pair.x0)
         rows.append(MismatchRow(pair.id, elbo_sum, total_r, delta))
 

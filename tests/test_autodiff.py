@@ -160,13 +160,6 @@ def test_linear_gradient(rng):
     check_op(build, 20, rng)
 
 
-def test_linear_without_bias(rng):
-    def build(flat):
-        x, w = split_leaves(flat, [(4, 3), (3, 2)])
-        return ad.mean_all(ad.square(ad.linear(x, w, None))), [x, w]
-    check_op(build, 18, rng)
-
-
 def conv_ref(x, w, b, stride, dilation):
     B, C, L = x.shape
     O, _, K = w.shape
@@ -183,7 +176,7 @@ def conv_ref(x, w, b, stride, dilation):
                 for c in range(C):
                     for k in range(K):
                         acc += w[o, c, k] * xp[bi, c, j * stride + k * dilation]
-                out[bi, o, j] = acc + (b[o] if b is not None else 0.0)
+                out[bi, o, j] = acc + b[o]
     return out
 
 
@@ -225,7 +218,7 @@ def conv_tapwise_ref(x, w, b, stride, dilation, g):
 
     np.pad the input, then one matmul per tap accumulated in tap order;
     the gradient loops over the taps into a zero-filled padded scratch.
-    Returns the output and the gradients of x, w and b (None without b).
+    Returns the output and the gradients of x, w and b.
     """
     _, _, L = x.shape
     K = w.shape[2]
@@ -240,19 +233,17 @@ def conv_tapwise_ref(x, w, b, stride, dilation, g):
     out = np.matmul(w[:, :, 0], segs[0])
     for k in range(1, K):
         out += np.matmul(w[:, :, k], segs[k])
-    if b is not None:
-        out = out + b[:, None]
+    out = out + b[:, None]
     dxp = np.zeros_like(xp)
     dw = np.zeros_like(w)
     for k in range(K):
         dw[:, :, k] = np.matmul(g, segs[k].transpose(0, 2, 1)).sum(axis=0)
         dxp[:, :, k * dilation: k * dilation + stop: stride] += \
             np.matmul(w[:, :, k].T, g)
-    db = None if b is None else g.sum(axis=(0, 2))
-    return out, dxp[:, :, pl: pl + L], dw, db
+    return out, dxp[:, :, pl: pl + L], dw, g.sum(axis=(0, 2))
 
 
-@pytest.mark.parametrize("c_in,c_out,K,stride,dilation,L,bias", [
+@pytest.mark.parametrize("c_in,c_out,K,stride,dilation,L,track_b", [
     (2, 12, 1, 1, 1, 512, True),     # enhancer in_proj
     (12, 12, 1, 1, 1, 512, True),    # enhancer mix
     (12, 1, 1, 1, 1, 512, True),     # enhancer out_proj
@@ -266,23 +257,29 @@ def conv_tapwise_ref(x, w, b, stride, dilation, g):
     (12, 12, 1, 2, 1, 512, False),   # unpadded but strided
 ])
 def test_conv1d_bits_match_the_tapwise_reference(rng, c_in, c_out, K, stride,
-                                                 dilation, L, bias):
+                                                 dilation, L, track_b):
     # the float summation order of every output and gradient is unchanged,
-    # which the bit-exact guarantees of training and the walks rest on
+    # which the bit-exact guarantees of training and the walks rest on; a
+    # constant bias (as in the walks and the actor term's scorer) gets no
+    # gradient
     def f32(*shape):
         return rng.standard_normal(shape).astype(np.float32)
 
     xv, wv, bv = f32(4, c_in, L), f32(c_out, c_in, K), f32(c_out)
     g = f32(4, c_out, -(-L // stride))
     x, w = ad.leaf(xv.copy()), ad.leaf(wv)
-    b = ad.leaf(bv) if bias else None
+    b = ad.leaf(bv) if track_b else ad.const(bv)
     out = ad.conv1d(x, w, b, stride=stride, dilation=dilation)
-    grads = out._grad_fn(g)
-    want_out, *want_grads = conv_tapwise_ref(xv, wv, bv if bias else None,
-                                             stride, dilation, g)
+    *grads, db = out._grad_fn(g)
+    want_out, *want_grads, want_db = conv_tapwise_ref(xv, wv, bv, stride,
+                                                      dilation, g)
     assert out.value.dtype == np.float32
     assert np.array_equal(out.value, want_out)
-    assert len(grads) == (3 if bias else 2)
+    if track_b:
+        grads.append(db)
+        want_grads.append(want_db)
+    else:
+        assert db is None
     for got, want in zip(grads, want_grads):
         assert got.dtype == np.float32
         assert np.array_equal(got, want)
@@ -330,7 +327,7 @@ def test_linear_skips_untracked_operands(rng):
 def test_conv1d_channel_mismatch():
     with pytest.raises(ValueError):
         ad.conv1d(ad.const(np.zeros((1, 2, 8))),
-                  ad.const(np.zeros((3, 4, 3))), None)
+                  ad.const(np.zeros((3, 4, 3))), ad.const(np.zeros(3)))
 
 
 # ---------------------------------------------------------------------------

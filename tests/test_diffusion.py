@@ -20,6 +20,7 @@ from mose import (
     schedule_from_betas,
     target_noise_batch,
 )
+from mose.diffusion import reverse_step, reverse_walk
 
 mp.mp.dps = 50
 
@@ -240,32 +241,6 @@ def test_reverse_mean_keeps_each_terms_dtype(sched50, rng):
     assert reverse_mean_batch(x, x, x, t, sched50).dtype == np.float32
 
 
-def test_oracle_reverse_step_marginal_consistency(sched50):
-    # one reverse step with the exact combined noise, marginalized over x_t
-    # draws, must land on the t-1 marginal in mean and variance
-    n = 20000
-    x0v, yv = 0.4, -0.7
-    gen = np.random.default_rng(4242)
-    for t in (2, 25, 49):
-        eps = gen.standard_normal((n, 1))
-        x_t = forward_sample_batch(np.full((n, 1), x0v), np.full((n, 1), yv),
-                                   np.full(n, t), eps, sched50)
-        ab = float(sched50.alpha_bar[t])
-        c_true = (x_t - math.sqrt(ab) * x0v) / math.sqrt(1.0 - ab)
-        y_b = np.full((n, 1), yv)
-        mean_prev = reverse_mean_batch(x_t, y_b, c_true, np.full(n, t), sched50)
-        z = gen.standard_normal((n, 1))
-        x_prev = mean_prev + math.sqrt(float(sched50.delta_tilde[t])) * z
-        w_p = float(sched50.w[t - 1])
-        sa_p = math.sqrt(float(sched50.alpha_bar[t - 1]))
-        mean_th = (1.0 - w_p) * sa_p * x0v + w_p * sa_p * yv
-        var_th = float(sched50.delta[t - 1])
-        se_mean = math.sqrt(var_th / n)
-        se_var = var_th * math.sqrt(2.0 / (n - 1))
-        assert abs(x_prev.mean() - mean_th) <= 4.0 * se_mean
-        assert abs(x_prev.var(ddof=1) - var_th) <= 4.0 * se_var
-
-
 # ---------------------------------------------------------------------------
 # whole-chain walks
 
@@ -424,3 +399,52 @@ def test_batched_walk_rows_equal_walks_alone(sched50, rng):
         enhance(net, params, ys, sched50, rng=gens()[:2])
     with pytest.raises(ValueError, match="one generator per row"):
         enhance(net, params, ys, sched50, rng=np.random.default_rng(0))
+
+
+def test_reverse_step_is_the_posterior_mean_plus_step_noise(sched50, rng):
+    x, y, e = (rng.standard_normal((2, 16)) for _ in range(3))
+    for s in (1, 2, 30):
+        mean = reverse_mean_batch(x, y, e, np.full(2, s), sched50)
+        assert np.array_equal(reverse_step(x, y, e, s, sched50, None), mean)
+        gens = [np.random.default_rng(b) for b in range(2)]
+        got = reverse_step(x, y, e, s, sched50, gens)
+        if s == 1:  # the last step draws nothing
+            assert np.array_equal(got, mean)
+            assert gens[0].bit_generator.state == \
+                np.random.default_rng(0).bit_generator.state
+            continue
+        z = np.stack([np.random.default_rng(b).standard_normal(16)
+                      for b in range(2)])
+        assert np.array_equal(
+            got, mean + math.sqrt(float(sched50.delta_tilde[s])) * z)
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_reverse_walk_is_the_walk_that_enhance_and_fast_sample_end(
+        sched50, rng, noisy):
+    net = DiffusionNet(channels=6, blocks=2, kernel=3, emb_dim=6,
+                       max_time=200.0)
+    params = net.init_params(np.random.default_rng(0), zero_head=False)
+    ys = rng.standard_normal((2, 96)).astype(np.float32)
+    betas = default_fast_schedule(sched50, 6)
+    mini = schedule_from_betas(betas, weight_mode=sched50.weight_mode)
+
+    def gens():
+        return [np.random.default_rng(30 + b) for b in range(2)] \
+            if noisy else None
+
+    for chain, steps, end in (
+            (sched50, np.arange(1.0, 51.0),
+             enhance(net, params, ys, sched50, rng=gens())),
+            (mini, align_inference_steps(mini, sched50),
+             fast_sample(net, params, ys, betas, sched50, rng=gens()))):
+        walk = list(reverse_walk(net, params, ys, chain, steps, gens()))
+        # T transitions, s = T..1, each starting where the last one ended
+        assert [s for s, _, _ in walk] == list(range(chain.T, 0, -1))
+        for (_, _, x_prev), (_, x_s, _) in zip(walk, walk[1:]):
+            assert x_s is x_prev
+        if not noisy:
+            assert np.array_equal(
+                walk[0][1],
+                math.sqrt(float(chain.alpha_bar[chain.T])) * ys)
+        assert np.array_equal(walk[-1][2], end)

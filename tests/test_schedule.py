@@ -1,6 +1,9 @@
 """Schedule construction against extended-precision and closed-form oracles."""
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import mpmath as mp
 import numpy as np
@@ -167,6 +170,21 @@ def test_construction_runs_fast(sched50):
     for _ in range(5):
         build_schedule(50, 1e-4, 0.035)
     assert time.time() - t0 < 1.0
+
+
+@pytest.mark.parametrize("route", ["deepcopy", "pickle"])
+def test_copies_stay_read_only_and_equal(sched50, sched20_zero, route):
+    # a forked or pickled run state carries its chain; the copy must keep
+    # the table immutable, not merely equal
+    for sched in (sched50, sched20_zero):
+        got = copy.deepcopy(sched) if route == "deepcopy" \
+            else pickle.loads(pickle.dumps(sched))
+        assert (got.T, got.weight_mode) == (sched.T, sched.weight_mode)
+        for f in dataclasses.fields(sched):
+            want = getattr(sched, f.name)
+            if isinstance(want, np.ndarray):
+                assert not getattr(got, f.name).flags.writeable, f.name
+                assert np.array_equal(getattr(got, f.name), want), f.name
 
 
 # ---------------------------------------------------------------------------
