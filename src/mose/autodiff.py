@@ -223,6 +223,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor(out, (x, w, b), grad_fn)
 
 
+def _pad_time(a: np.ndarray, left: int, total: int) -> np.ndarray:
+    """(B, C, L) ``a`` with ``left`` zeros before it and ``total - left``
+    after it along time; ``a`` itself, not a copy, when ``total`` is 0."""
+    if not total:
+        return a
+    B, C, L = a.shape
+    out = np.zeros((B, C, L + total), dtype=a.dtype)
+    out[:, :, left: left + L] = a
+    return out
+
+
 def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
            dilation: int = 1) -> Tensor:
     """Batched 1-D convolution with symmetric zero padding.
@@ -231,12 +242,17 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
     ceil(L / stride); padding is chosen so every output sample has a full
     kernel footprint over the padded input.  Only an input that needs
     padding is copied; width-1, stride-1 kernels read ``x`` in place.  The
-    gradient skips untracked operands.
+    gradient skips untracked operands.  A stride-1 ``dx`` is a correlation
+    of the output gradient, padded by the kernel's reach, with the
+    transposed taps; a strided one is scattered tap by tap into a padded
+    scratch.
 
-    The taps accumulate one matmul at a time, tap 0 first, in both the
-    forward and the gradient.  That fixed float summation order is what
-    keeps a batched walk bit-equal to walking each row alone, and a rerun
-    or resumed training run bit-equal to the straight one.
+    The taps accumulate one matmul at a time, tap 0 first, in the forward
+    and in both gradients.  That fixed float summation order is what keeps
+    a batched walk bit-equal to walking each row alone, and a rerun or
+    resumed training run bit-equal to the straight one.  The correlation
+    adds the scatter's products in the scatter's tap order; a tap that
+    falls in the padding adds an exact +0.
     """
     B, C, L = x.value.shape
     O, C2, K = w.value.shape
@@ -246,11 +262,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
     l_out = -(-L // stride)
     pad_total = max(0, (l_out - 1) * stride + span - L)
     pl = pad_total // 2
-    if pad_total:
-        xp = np.zeros((B, C, L + pad_total), dtype=x.value.dtype)
-        xp[:, :, pl: pl + L] = x.value
-    else:
-        xp = x.value
+    xp = _pad_time(x.value, pl, pad_total)
     stop = (l_out - 1) * stride + 1
     segs = [xp[:, :, k * dilation: k * dilation + stop: stride] for k in range(K)]
     out = np.matmul(w.value[:, :, 0], segs[0])
@@ -265,8 +277,14 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
             for k in range(K):
                 dw[:, :, k] = np.matmul(
                     g, segs[k].transpose(0, 2, 1)).sum(axis=0)
-        if x.track and K == 1 and stride == 1:
-            dx = np.matmul(w.value[:, :, 0].T, g)
+        if x.track and stride == 1:
+            # dx[i] = sum_k w_k^T g[i + pl - k*dilation], tap 0 first
+            gp = _pad_time(g, pad_total - pl, pad_total)
+            o = pad_total
+            dx = np.matmul(w.value[:, :, 0].T, gp[:, :, o: o + L])
+            for k in range(1, K):
+                o -= dilation
+                dx += np.matmul(w.value[:, :, k].T, gp[:, :, o: o + L])
         elif x.track:
             dxp = np.zeros_like(xp)
             for k in range(K):

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from . import autodiff as ad
-from .diffusion import default_fast_schedule
+from .diffusion import default_fast_schedule, inference_chain
 from .errors import (AlignmentError, CheckFailure, CheckpointError,
                      ConfigError, DataError, DivergenceError, MetricError,
                      MoseError, ScheduleError)
@@ -104,20 +104,21 @@ def _split_pairs(data: str, split: str) -> list:
     return pairs
 
 
-def _parse_fast_schedule(text: str) -> np.ndarray:
+def _parse_floats(flag: str, text: str) -> list[float]:
+    """A comma-separated list of at least one number."""
     try:
         vals = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad --fast-schedule: {exc}") from exc
+        raise ConfigError(f"bad {flag}: {exc}") from exc
     if not vals:
-        raise ConfigError("--fast-schedule needs at least one variance")
-    return np.asarray(vals)
+        raise ConfigError(f"{flag} needs at least one value")
+    return vals
 
 
 def cmd_synth(args) -> int:
+    train_snrs = _parse_floats("--train-snrs", args.train_snrs)
+    test_snrs = _parse_floats("--test-snrs", args.test_snrs)
     out = _prepare_out(args.out, args.force)
-    train_snrs = [float(s) for s in args.train_snrs.split(",")]
-    test_snrs = [float(s) for s in args.test_snrs.split(",")]
     pairs = synth_corpus(args.seed, args.n_train, args.length, train_snrs,
                          sample_rate=args.sample_rate, split="train")
     pairs += synth_corpus(args.seed + 1, args.n_test, args.length, test_snrs,
@@ -155,8 +156,10 @@ def cmd_train(args) -> int:
 
 def cmd_enhance(args) -> int:
     st = checkpoint_load(args.ckpt)
-    fast = _parse_fast_schedule(args.fast_schedule) \
+    fast = _parse_floats("--fast-schedule", args.fast_schedule) \
         if args.fast_schedule else None
+    if fast is not None:  # a ladder that cannot walk is refused before --out
+        inference_chain(fast, st.schedule)
     if args.wav and args.data:
         raise ConfigError("pass WAV paths or --data, not both")
     if args.data:
@@ -194,16 +197,24 @@ def cmd_enhance(args) -> int:
 def cmd_eval(args) -> int:
     split = _split_pairs(args.data, args.split)
     metric_names = [m for m in args.metric.split(",") if m]
+    if not metric_names:
+        raise ConfigError("--metric needs at least one metric name")
     metrics = [get_metric(m) for m in metric_names]
-    given = _parse_fast_schedule(args.fast_schedule) \
+    given = _parse_floats("--fast-schedule", args.fast_schedule) \
         if args.fast_schedule else None
-    states = [checkpoint_load(ckpt) for ckpt in args.ckpt]  # all before --out
-    out = _prepare_out(args.out, args.force)
-    reports = {}
-    for ckpt, st in zip(args.ckpt, states):
+    # every checkpoint, and its ladder aligned to its chain, before --out
+    states = [checkpoint_load(ckpt) for ckpt in args.ckpt]
+    ladders = []
+    for st in states:
         fast = given
         if fast is None and args.fast_steps:  # a ladder for this chain
             fast = default_fast_schedule(st.schedule, args.fast_steps)
+        if fast is not None:
+            inference_chain(fast, st.schedule)
+        ladders.append(fast)
+    out = _prepare_out(args.out, args.force)
+    reports = {}
+    for ckpt, st, fast in zip(args.ckpt, states, ladders):
         rep = evaluate(st.dnet, st.params_d, split, metrics, st.schedule,
                        sampler="fast" if fast is not None else "full",
                        fast_betas=fast, seed=args.seed)
@@ -228,6 +239,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_mismatch(args) -> int:
+    if args.n < 3:
+        raise ConfigError(f"--n must be at least 3, got {args.n}")
+    reward_metric = get_metric(args.reward_metric)
+    report_metric = get_metric(args.report_metric)
     split = _split_pairs(args.data, args.split)[: args.n]
     st_e = checkpoint_load(args.ckpt_elbo)
     st_m = checkpoint_load(args.ckpt_metric)
@@ -236,9 +251,8 @@ def cmd_mismatch(args) -> int:
                           "a shared chain and nets")
     out = _prepare_out(args.out, args.force)
     res = mismatch_experiment(st_e.dnet, st_e.params_d, st_m.params_d,
-                              split, st_e.schedule,
-                              get_metric(args.reward_metric),
-                              get_metric(args.report_metric), seed=args.seed)
+                              split, st_e.schedule, reward_metric,
+                              report_metric, seed=args.seed)
     write_mismatch_csv(os.path.join(out, "mismatch.csv"), res)
     _write_run_manifest(out, "mismatch", st_m.config, {
         "data": args.data, "n": len(split), "seed": args.seed,

@@ -174,18 +174,25 @@ def align_inference_steps(infer: NoiseSchedule,
     return taus
 
 
+def inference_chain(infer_betas, sched: NoiseSchedule):
+    """The short schedule of ``infer_betas`` and its fractional positions on
+    ``sched``; raises if the ladder is no valid schedule, is longer than
+    ``sched`` or cannot be aligned to it."""
+    infer_betas = np.asarray(infer_betas, dtype=np.float64)
+    if infer_betas.size > sched.T:
+        raise AlignmentError("inference schedule is longer than the "
+                             "training schedule")
+    mini = schedule_from_betas(infer_betas, weight_mode=sched.weight_mode)
+    return mini, align_inference_steps(mini, sched)
+
+
 def fast_sample(net, params, y: np.ndarray, infer_betas,
                 sched: NoiseSchedule, rng=None) -> np.ndarray:
     """Reverse walk over a short inference schedule aligned to ``sched``.
 
     Takes ``y`` and ``rng`` as ``enhance`` does.
     """
-    infer_betas = np.asarray(infer_betas, dtype=np.float64)
-    if infer_betas.size > sched.T:
-        raise AlignmentError("inference schedule is longer than the "
-                             "training schedule")
-    mini = schedule_from_betas(infer_betas, weight_mode=sched.weight_mode)
-    taus = align_inference_steps(mini, sched)
+    mini, taus = inference_chain(infer_betas, sched)
     return _reverse_chain(net, params, y, mini, taus, rng)
 
 

@@ -243,30 +243,44 @@ def conv_tapwise_ref(x, w, b, stride, dilation, g):
     return out, dxp[:, :, pl: pl + L], dw, g.sum(axis=(0, 2))
 
 
-@pytest.mark.parametrize("c_in,c_out,K,stride,dilation,L,track_b", [
-    (2, 12, 1, 1, 1, 512, True),     # enhancer in_proj
-    (12, 12, 1, 1, 1, 512, True),    # enhancer mix
-    (12, 1, 1, 1, 1, 512, True),     # enhancer out_proj
-    (12, 12, 3, 1, 1, 512, True),    # enhancer dconv, dilations 1-8
-    (12, 12, 3, 1, 2, 512, True),
-    (12, 12, 3, 1, 4, 512, True),
-    (12, 12, 3, 1, 8, 512, True),
-    (3, 16, 5, 4, 1, 512, True),     # critic enc0
-    (16, 16, 5, 4, 1, 128, True),    # critic enc1
-    (12, 12, 3, 1, 2, 512, False),
-    (12, 12, 1, 2, 1, 512, False),   # unpadded but strided
+def _conv_case(*shape, zeros=None):
+    """A bits case; ``zeros`` names the operand given exact zeros."""
+    name = "-".join(map(str, shape)) + (f"-zero-{zeros}" if zeros else "")
+    return pytest.param(*shape, zeros, id=name)
+
+
+@pytest.mark.parametrize("c_in,c_out,K,stride,dilation,L,track_b,zeros", [
+    _conv_case(2, 12, 1, 1, 1, 512, True),     # enhancer in_proj
+    _conv_case(12, 12, 1, 1, 1, 512, True),    # enhancer mix
+    _conv_case(12, 1, 1, 1, 1, 512, True),     # enhancer out_proj
+    _conv_case(12, 12, 3, 1, 1, 512, True),    # enhancer dconv, dilations 1-8
+    _conv_case(12, 12, 3, 1, 2, 512, True),
+    _conv_case(12, 12, 3, 1, 4, 512, True),
+    _conv_case(12, 12, 3, 1, 8, 512, True),
+    _conv_case(3, 16, 5, 4, 1, 512, True),     # critic enc0
+    _conv_case(16, 16, 5, 4, 1, 128, True),    # critic enc1
+    _conv_case(12, 12, 3, 1, 2, 512, False),
+    _conv_case(12, 12, 1, 2, 1, 512, False),   # unpadded but strided
+    # runs of all-zero gradient columns: taps that add only +-0 products
+    _conv_case(12, 12, 3, 1, 4, 512, True, zeros="g-columns"),
+    # the zero-initialised head, whose input gradient is all +-0 products
+    _conv_case(12, 1, 1, 1, 1, 512, True, zeros="w"),
 ])
 def test_conv1d_bits_match_the_tapwise_reference(rng, c_in, c_out, K, stride,
-                                                 dilation, L, track_b):
+                                                 dilation, L, track_b, zeros):
     # the float summation order of every output and gradient is unchanged,
     # which the bit-exact guarantees of training and the walks rest on; a
     # constant bias (as in the walks and the actor term's scorer) gets no
-    # gradient
+    # gradient.  Bytes, not values, are compared: +0 and -0 differ.
     def f32(*shape):
         return rng.standard_normal(shape).astype(np.float32)
 
     xv, wv, bv = f32(4, c_in, L), f32(c_out, c_in, K), f32(c_out)
     g = f32(4, c_out, -(-L // stride))
+    if zeros == "g-columns":
+        g[:, :, rng.random(g.shape[2]) < 0.5] = 0.0
+    elif zeros == "w":
+        wv[...] = 0.0
     x, w = ad.leaf(xv.copy()), ad.leaf(wv)
     b = ad.leaf(bv) if track_b else ad.const(bv)
     out = ad.conv1d(x, w, b, stride=stride, dilation=dilation)
@@ -274,15 +288,15 @@ def test_conv1d_bits_match_the_tapwise_reference(rng, c_in, c_out, K, stride,
     want_out, *want_grads, want_db = conv_tapwise_ref(xv, wv, bv, stride,
                                                       dilation, g)
     assert out.value.dtype == np.float32
-    assert np.array_equal(out.value, want_out)
+    assert out.value.tobytes() == want_out.tobytes()
     if track_b:
         grads.append(db)
         want_grads.append(want_db)
     else:
         assert db is None
     for got, want in zip(grads, want_grads):
-        assert got.dtype == np.float32
-        assert np.array_equal(got, want)
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
     # reading x in place must leave it alone
     assert np.array_equal(x.value, xv)
     assert not np.shares_memory(out.value, x.value)
@@ -309,9 +323,9 @@ def test_conv1d_skips_untracked_operands(rng, tracked, c_in, c_out, K, stride,
     _, want_dx, want_dw, _ = conv_tapwise_ref(xv, wv, bv, stride, dilation, g)
     assert db is None
     if tracked == "x":
-        assert dw is None and np.array_equal(dx, want_dx)
+        assert dw is None and dx.tobytes() == want_dx.tobytes()
     else:
-        assert dx is None and np.array_equal(dw, want_dw)
+        assert dx is None and dw.tobytes() == want_dw.tobytes()
 
 
 def test_linear_skips_untracked_operands(rng):

@@ -454,6 +454,31 @@ def test_exit_code_2_on_bad_arguments(work, tmp_path, argv, ckpt):
     assert main([cmd, *rest[2:], *tail]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "--train-snrs", "5,abc"],
+    ["eval", "--fast-steps", "99"],                          # > T steps
+    ["eval", "--fast-schedule", ",".join(["0.5"] * 5)],      # cannot align
+    ["eval", "--metric", ","],
+    ["enhance", "--fast-schedule", ",".join(["0.5"] * 5)],
+    ["mismatch", "--n", "2"],
+    ["mismatch", "--reward-metric", "bogus"],
+    ["mismatch", "--report-metric", "bogus"],
+], ids=["synth-snrs", "eval-fast-steps", "eval-unaligned-ladder",
+        "eval-no-metric", "enhance-unaligned-ladder", "mismatch-n",
+        "mismatch-reward-metric", "mismatch-report-metric"])
+def test_bad_arguments_are_refused_before_out(work, tmp_path, argv):
+    cmd, *rest = argv
+    data = ["--data", str(work["manifest"])]
+    if cmd in ("eval", "enhance"):
+        rest += ["--ckpt", str(work["ckpt_m"]), *data]
+    elif cmd == "mismatch":
+        rest += ["--ckpt-elbo", str(work["ckpt_e"]),
+                 "--ckpt-metric", str(work["ckpt_m"]), *data]
+    out = tmp_path / "o"
+    assert main([cmd, *rest, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_exit_code_5_on_failed_selfcheck(monkeypatch, capsys):
     import mose.selfcheck as sc
     monkeypatch.setattr(sc, "run_selfcheck",
