@@ -20,9 +20,12 @@ import numpy as np
 # glibc's defaults the freed heap top goes back to the system and is faulted
 # in again (~300 minor faults per C7 iteration).  Setting any one threshold
 # turns off glibc's dynamic mmap threshold, so all three are set together.
+# One arena: otherwise each thread that walks evaluation blocks grows an
+# arena of its own beside the heap training already grew.
 HEAP_SETTINGS = (("M_TRIM_THRESHOLD", -1, 256 << 20),
                  ("M_TOP_PAD", -2, 64 << 20),
-                 ("M_MMAP_THRESHOLD", -3, 256 << 20))
+                 ("M_MMAP_THRESHOLD", -3, 256 << 20),
+                 ("M_ARENA_MAX", -8, 1))
 
 
 def _keep_freed_heap() -> str:

@@ -32,9 +32,9 @@ from .errors import (AlignmentError, CheckFailure, CheckpointError,
 from .metric import get_metric
 from .schedule import dump_table
 from .signals import load_corpus, synth_corpus, wav_read, wav_write, write_corpus
-from .trainer import (TrainConfig, TrainState, checkpoint_file,
-                      checkpoint_load, config_hash, config_to_text,
-                      enhance_all, evaluate, item_rng,
+from .trainer import (TrainConfig, TrainState, _usable_cores,
+                      checkpoint_file, checkpoint_load, config_hash,
+                      config_to_text, enhance_all, evaluate, item_rng,
                       mismatch_experiment, parse_config_file, resume_state,
                       run_inputs, train, write_comparison_csv,
                       write_eval_csv, write_mismatch_csv)
@@ -65,6 +65,7 @@ def _machine_lines() -> list[str]:
     except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
         blas = {}
     lines = [f"nproc = {os.cpu_count()}",
+             f"walk_threads = {_usable_cores()}",
              f"python = {platform.python_version()}",
              f"numpy = {np.__version__}"]
     lines += [f"blas_{k.replace(' ', '_')} = {blas.get(k)}"
@@ -244,6 +245,9 @@ def cmd_mismatch(args) -> int:
     reward_metric = get_metric(args.reward_metric)
     report_metric = get_metric(args.report_metric)
     split = _split_pairs(args.data, args.split)[: args.n]
+    if len(split) < 3:
+        raise DataError(f"{args.data}: split {args.split!r} has "
+                        f"{len(split)} pairs; the probe needs at least 3")
     st_e = checkpoint_load(args.ckpt_elbo)
     st_m = checkpoint_load(args.ckpt_metric)
     if replace(st_m.config, alpha=st_e.config.alpha) != st_e.config:

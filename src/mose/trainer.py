@@ -28,6 +28,7 @@ import hashlib
 import json
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
@@ -551,12 +552,24 @@ def _critic_update(state: TrainState, metric, x_t, yb, xb0, t_arr,
 # ---------------------------------------------------------------------------
 # evaluation
 
-# Samples per batched reverse walk.  Equal-length signals walk together,
-# max(1, _WALK_BLOCK_SAMPLES // L) rows at a time.  On a 2-core host, blocks
-# of 16 rows of 512 samples walked 32 utterances 24-35% faster than blocks of
-# 8 rows, and 24 utterances about as fast, at the same peak memory; outputs
-# do not depend on the block size.  16000-sample signals walk alone.
+# Samples per batched reverse walk.  Equal-length signals walk together in
+# ceil(n / cap) blocks of cap = max(1, _WALK_BLOCK_SAMPLES // L) rows or
+# fewer, balanced so that their sizes differ by at most one, and the blocks
+# walk concurrently, one thread per usable core.  On a 2-core host, blocks
+# of 16 rows of 512 samples walked 32 utterances 24-35% faster than blocks
+# of 8 rows, one block after another, at the same peak memory; walking
+# those two blocks in two threads took the full walk from 147 to 193
+# utterances/s.  Outputs depend neither on the block size nor on the
+# threads.  16000-sample signals walk alone.
 _WALK_BLOCK_SAMPLES = 8192
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity, as on macOS
+        return os.cpu_count() or 1
 
 
 def enhance_all(dnet: DiffusionNet, params_d: ParamSet, signals, rngs,
@@ -564,25 +577,34 @@ def enhance_all(dnet: DiffusionNet, params_d: ParamSet, signals, rngs,
     """Reverse-walk every signal, ``signals[k]`` drawing from ``rngs[k]``.
 
     The full T-step walk, or the ``fast_betas`` ladder when given.  Signals
-    of one length walk in (B, L) blocks; each row draws only from its own
-    generator, so every output is bit-identical to walking that signal
-    alone, whatever else shares its block.
+    of one length walk in (B, L) blocks, and the blocks walk in a thread
+    pool of at most one worker per usable core.  Each row draws only from
+    its own generator, and no block reads another, so every output is
+    bit-identical to walking that signal alone, whatever else shares its
+    block or runs beside it.  One generator shared by two signals would
+    break that, and is refused with ``ValueError``.
     """
-    out = [None] * len(signals)
+    if len({id(g) for g in rngs}) != len(rngs):
+        raise ValueError("every signal needs a generator of its own")
+    blocks = []
     by_length: dict[int, list[int]] = {}
     for k, y in enumerate(signals):
         by_length.setdefault(np.size(y), []).append(k)
     for length, idx in by_length.items():
-        rows = max(1, _WALK_BLOCK_SAMPLES // length)
-        for i in range(0, len(idx), rows):
-            block = idx[i:i + rows]
-            y = np.stack([signals[k] for k in block]).astype(np.float32)
-            g = [rngs[k] for k in block]
-            if fast_betas is None:
-                xhat = enhance(dnet, params_d, y, sched, rng=g)
-            else:
-                xhat = fast_sample(dnet, params_d, y, fast_betas, sched,
-                                   rng=g)
+        n = -(-len(idx) // max(1, _WALK_BLOCK_SAMPLES // length))
+        cut = [len(idx) * j // n for j in range(n + 1)]
+        blocks += [idx[a:b] for a, b in zip(cut, cut[1:])]
+
+    def walk(block):
+        y = np.stack([signals[k] for k in block]).astype(np.float32)
+        g = [rngs[k] for k in block]
+        if fast_betas is None:
+            return enhance(dnet, params_d, y, sched, rng=g)
+        return fast_sample(dnet, params_d, y, fast_betas, sched, rng=g)
+
+    out = [None] * len(signals)
+    with ThreadPoolExecutor(max(1, min(_usable_cores(), len(blocks)))) as pool:
+        for block, xhat in zip(blocks, pool.map(walk, blocks)):
             for k, row in zip(block, xhat):
                 out[k] = row
     return out

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import mose.trainer as trainer
 from mose.cli import main
 
 MICRO_CFG = """\
@@ -77,12 +78,16 @@ def test_train_outputs(work):
     keys = {ln.partition(" = ")[0] for ln in text.splitlines()}
     assert {"nproc", "python", "numpy", "blas_name", "blas_version",
             "blas_openblas_configuration", "OPENBLAS_NUM_THREADS",
-            "OMP_NUM_THREADS", "MKL_NUM_THREADS", "heap_policy"} <= keys
+            "OMP_NUM_THREADS", "MKL_NUM_THREADS", "heap_policy",
+            "walk_threads"} <= keys
     assert f"numpy = {np.__version__}" in text
+    # the walk's thread pool size: the cores this process may run on
+    assert f"walk_threads = {trainer._usable_cores()}" in text
     # the allocator thresholds mose.autodiff applied at import
     if platform.libc_ver()[0] == "glibc":
         assert ("heap_policy = M_TRIM_THRESHOLD=268435456 M_TOP_PAD=67108864 "
-                "M_MMAP_THRESHOLD=268435456 (mallopt returned ") in text
+                "M_MMAP_THRESHOLD=268435456 M_ARENA_MAX=1 "
+                "(mallopt returned ") in text
     assert "MOSE_THREADS" not in text
 
 
@@ -308,6 +313,21 @@ def test_unknown_split_is_data_error(work, tmp_path, capsys, cmd):
                "--out", str(out), "--split", "tset"])
     assert rc == 3
     assert "split 'tset'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mismatch_refuses_a_short_split_before_out(work, tmp_path, capsys):
+    # a split of 2 pairs cannot give the probe's 3: refused, no --out left
+    data = tmp_path / "small"
+    assert main(["synth", "--out", str(data), "--seed", "4",
+                 "--n-train", "2", "--n-test", "2", "--length", "256"]) == 0
+    out = tmp_path / "mm"
+    rc = main(["mismatch", "--ckpt-elbo", str(work["ckpt_e"]),
+               "--ckpt-metric", str(work["ckpt_m"]),
+               "--data", str(data / "manifest.tsv"), "--out", str(out),
+               "--split", "test"])
+    assert rc == 3
+    assert "at least 3" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -10,6 +10,9 @@ import platform
 import re
 import resource
 import stat
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -755,24 +758,96 @@ def test_evaluate_scores_do_not_depend_on_batch_composition():
         assert rep.rows == want
 
 
-def test_walk_outputs_do_not_depend_on_the_block_size(monkeypatch):
-    # 20 signals of 512 samples walk 1, 8 or 16 rows at a time
+def _walk_setup():
+    # 20 signals of 512 samples through a micro enhancer, both ladders
     sched = build_schedule(6, 0.05, 0.3)
     signals = [p.y for p in synth_corpus(seed=9, n_utterances=20, length=512,
                                          snr_levels=[0.0, 10.0])]
     dnet, _ = build_nets(MICRO)
     params = dnet.init_params(np.random.default_rng(0), zero_head=False)
-    betas = default_fast_schedule(sched, 4)
-    outputs = []
-    for block in (512, 4096, 8192):
-        monkeypatch.setattr(trainer, "_WALK_BLOCK_SAMPLES", block)
-        outputs.append([
-            row.tobytes() for ladder in (None, betas)
+    return sched, signals, dnet, params, default_fast_schedule(sched, 4)
+
+
+def _walk_bytes(sched, signals, dnet, params, betas):
+    return [row.tobytes() for ladder in (None, betas)
             for row in trainer.enhance_all(
                 dnet, params, signals,
                 [np.random.default_rng(k) for k in range(len(signals))],
-                sched, ladder)])
-    assert outputs[0] == outputs[1] == outputs[2]
+                sched, ladder)]
+
+
+def test_walk_outputs_do_not_depend_on_the_block_size(monkeypatch):
+    # 1, 8 or 16 rows at a time (20, 3 or 2 blocks), walked by 1, 2 or 8
+    # threads
+    setup = _walk_setup()
+    outputs = []
+    for block in (512, 4096, 8192):
+        monkeypatch.setattr(trainer, "_WALK_BLOCK_SAMPLES", block)
+        for cores in (1, 2, 8):
+            monkeypatch.setattr(trainer, "_usable_cores", lambda c=cores: c)
+            outputs.append(_walk_bytes(*setup))
+    assert all(out == outputs[0] for out in outputs[1:])
+
+
+def test_walk_blocks_are_balanced(monkeypatch):
+    # 24 rows of 512 samples at 16 per block walk as 12 + 12, not 16 + 8
+    sched, signals, dnet, params, _ = _walk_setup()
+    sizes = []
+    monkeypatch.setattr(trainer, "enhance",
+                        lambda net, p, y, s, rng: (sizes.append(len(y)), y)[1])
+    trainer.enhance_all(dnet, params, signals + signals[:4],
+                        [np.random.default_rng(k) for k in range(24)], sched)
+    assert sorted(sizes) == [12, 12]
+
+
+def test_walk_threads_under_fast_switching_give_the_same_bytes(monkeypatch):
+    # 20 one-row blocks in 8 threads, with the interpreter switching threads
+    # as often as it can, against the 1-thread walk
+    setup = _walk_setup()
+    monkeypatch.setattr(trainer, "_WALK_BLOCK_SAMPLES", 512)
+    monkeypatch.setattr(trainer, "_usable_cores", lambda: 1)
+    want = _walk_bytes(*setup)
+    monkeypatch.setattr(trainer, "_usable_cores", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = time.monotonic()
+        got = _walk_bytes(*setup)
+        took = time.monotonic() - start
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    assert took < 60.0
+
+
+def test_a_failing_walk_block_surfaces_and_leaves_no_thread(monkeypatch):
+    # 5 blocks of 4 rows in 2 threads; the forward fails in the first block
+    sched, signals, dnet, params, _ = _walk_setup()
+    monkeypatch.setattr(trainer, "_WALK_BLOCK_SAMPLES", 2048)
+    monkeypatch.setattr(trainer, "_usable_cores", lambda: 2)
+    forward = type(dnet).forward
+    first = signals[0].astype(np.float32)
+
+    def failing(self, params, x_t, y, t, *args):
+        if np.array_equal(y[0], first):
+            raise FloatingPointError("block 0 failed")
+        return forward(self, params, x_t, y, t, *args)
+
+    monkeypatch.setattr(type(dnet), "forward", failing)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="block 0"):
+        trainer.enhance_all(dnet, params, signals,
+                            [np.random.default_rng(k) for k in range(20)],
+                            sched)
+    assert threading.active_count() == before
+
+
+def test_walk_refuses_a_generator_shared_by_two_signals():
+    sched, signals, dnet, params, _ = _walk_setup()
+    rngs = [np.random.default_rng(k) for k in range(len(signals))]
+    rngs[7] = rngs[3]
+    with pytest.raises(ValueError, match="generator of its own"):
+        trainer.enhance_all(dnet, params, signals, rngs, sched)
 
 
 def test_evaluate_validation(corpus):
